@@ -23,6 +23,7 @@
 package callgraph
 
 import (
+	"slices"
 	"sort"
 
 	"ofence/internal/cast"
@@ -77,24 +78,31 @@ type Node struct {
 	// UnresolvedCalls counts call sites in this function that could not be
 	// resolved to any definition (external functions, unknown pointers).
 	UnresolvedCalls int
-	// allCalls caches cast.Calls(Fn.Body) when the sharded builder already
-	// paid for the walk, so FileDeps does not re-walk every body. The
-	// sequential Build leaves it nil (FileDeps falls back to walking).
-	allCalls []*cast.CallExpr
+	// sites are the function's call sites in source order, by name; FileDeps
+	// reads the called names from here instead of re-walking the body.
+	sites []CallSite
+	// index is the node's position in Graph.Nodes.
+	index int
+	// prevDef is the previous definition with the same name, in build
+	// order (Graph.byName chains them newest first).
+	prevDef *Node
 }
 
 // Name returns the function name.
 func (n *Node) Name() string { return n.Fn.Name }
 
+// Index returns the node's position in its graph's Nodes, so per-node
+// analysis state can live in dense slices instead of maps.
+func (n *Node) Index() int { return n.index }
+
 // Graph is the whole-corpus call graph.
 type Graph struct {
 	// Nodes in deterministic (file, declaration) order.
 	Nodes []*Node
-	// byName maps a function name to every definition carrying it (multiple
-	// entries when distinct files define same-named statics).
-	byName map[string][]*Node
-	// byFile maps "file\x00name" to the definition for static lookup.
-	byFile map[string]*Node
+	// byName maps a function name to its last definition in build order;
+	// Node.prevDef chains the earlier ones (several when distinct files
+	// define same-named statics).
+	byName map[string]*Node
 	// ptrTargets maps a slot name (variable or struct-field name) to the
 	// functions whose address is stored into such a slot somewhere in the
 	// corpus.
@@ -105,14 +113,29 @@ type Graph struct {
 	initTargets []*Node
 }
 
-// Build constructs the graph over files. Files with nil ASTs (parse
-// failures) are skipped; the builder never fails.
-func Build(files []File) *Graph {
-	g := &Graph{
-		byName:     map[string][]*Node{},
-		byFile:     map[string]*Node{},
+// newGraph returns an empty graph sized for about n definitions.
+func newGraph(n int) *Graph {
+	return &Graph{
+		Nodes:      make([]*Node, 0, n),
+		byName:     make(map[string]*Node, n),
 		ptrTargets: map[string][]*Node{},
 	}
+}
+
+// addNode registers n as the next node in build order.
+func (g *Graph) addNode(n *Node) {
+	n.index = len(g.Nodes)
+	g.Nodes = append(g.Nodes, n)
+	n.prevDef = g.byName[n.Fn.Name]
+	g.byName[n.Fn.Name] = n
+}
+
+// Build constructs the graph over files by walking every AST in three
+// sequential passes. It is the reference builder the facts-based
+// BuildFacts is tested against. Files with nil ASTs (parse failures) are
+// skipped; the builder never fails.
+func Build(files []File) *Graph {
+	g := newGraph(0)
 	// Pass 1: nodes for every definition.
 	for _, f := range files {
 		if f.AST == nil {
@@ -122,10 +145,7 @@ func Build(files []File) *Graph {
 			if fn.Body == nil {
 				continue
 			}
-			n := &Node{File: f.Name, Fn: fn, Static: fn.Static}
-			g.Nodes = append(g.Nodes, n)
-			g.byName[fn.Name] = append(g.byName[fn.Name], n)
-			g.byFile[fileKey(f.Name, fn.Name)] = n
+			g.addNode(&Node{File: f.Name, Fn: fn, Static: fn.Static})
 		}
 	}
 	// Pass 2: function-pointer assignment tracking (file-scope initializers
@@ -159,26 +179,27 @@ func Build(files []File) *Graph {
 	// Pass 3: edges.
 	for _, n := range g.Nodes {
 		for _, call := range cast.Calls(n.Fn.Body) {
-			g.addCallEdges(n, call)
+			s := siteOf(call)
+			n.sites = append(n.sites, s)
+			g.addCallEdges(n, s)
 		}
 	}
 	return g
 }
 
-func fileKey(file, name string) string { return file + "\x00" + name }
-
 // funcNamed returns the definition a bare identifier refers to from file,
 // honoring static visibility.
 func (g *Graph) funcNamed(file, name string) *Node {
-	if n, ok := g.byFile[fileKey(file, name)]; ok {
-		return n // same-file definition (static or not) wins
-	}
-	for _, n := range g.byName[name] {
+	var ext *Node
+	for n := g.byName[name]; n != nil; n = n.prevDef {
+		if n.File == file {
+			return n // same-file definition (static or not) wins; the last one
+		}
 		if !n.Static {
-			return n // external linkage: visible everywhere
+			ext = n // external linkage: visible everywhere; the first one
 		}
 	}
-	return nil
+	return ext
 }
 
 // collectPtrAssign records "slot = fn" and "x->field = fn" assignments.
@@ -260,64 +281,59 @@ func slotName(e cast.Expr) string {
 }
 
 // addCallEdges resolves one call site and appends the edges.
-func (g *Graph) addCallEdges(caller *Node, call *cast.CallExpr) {
-	edges, resolved := g.edgesFor(caller, call)
+func (g *Graph) addCallEdges(caller *Node, s CallSite) {
+	before := len(caller.Calls)
+	var resolved bool
+	caller.Calls, resolved = g.appendEdges(caller.Calls, caller, s)
 	if !resolved {
 		caller.UnresolvedCalls++
 		return
 	}
-	for _, e := range edges {
-		caller.Calls = append(caller.Calls, e)
+	for _, e := range caller.Calls[before:] {
 		e.Callee.CalledBy = append(e.Callee.CalledBy, e)
 	}
 }
 
-// edgesFor resolves one call site to its edges without mutating the graph,
-// so the sequential and sharded builders share one resolution semantics. It
-// only reads the phase-1/phase-2 maps, which are frozen by the time edges
-// are resolved — safe to call concurrently from BuildParallel's workers.
-func (g *Graph) edgesFor(caller *Node, call *cast.CallExpr) (edges []*Edge, resolved bool) {
-	mk := func(callee *Node, kind EdgeKind) *Edge {
-		return &Edge{Caller: caller, Callee: callee, Call: call, Kind: kind}
-	}
-	if name := call.FunName(); name != "" {
+// appendEdges resolves one call site and appends its edges to dst without
+// mutating the graph, so the AST and facts builders share one resolution
+// semantics. It only reads the node and pointer-target maps, which are
+// frozen by the time edges are resolved — safe to call concurrently from
+// BuildFacts' workers.
+func (g *Graph) appendEdges(dst []*Edge, caller *Node, s CallSite) (out []*Edge, resolved bool) {
+	if name := s.Name; name != "" {
 		if callee := g.funcNamed(caller.File, name); callee != nil {
-			return []*Edge{mk(callee, Direct)}, true
+			return append(dst, &Edge{Caller: caller, Callee: callee, Call: s.Call, Kind: Direct}), true
 		}
 		// A bare identifier that is not a definition may still be a
 		// function-pointer variable: fp(...).
-		if cands := g.ptrTargets[name]; len(cands) > 0 {
-			for _, callee := range cands {
-				edges = append(edges, mk(callee, Pointer))
-			}
-			return edges, true
-		}
-		return nil, false
+		return appendPointerEdges(dst, caller, s, g.ptrTargets[name])
 	}
 	// Indirect call: p->op(...), (*fp)(...), ops[i].fn(...).
-	slot := slotName(call.Fun)
-	cands := g.ptrTargets[slot]
-	if len(cands) == 0 && slot != "" {
+	cands := g.ptrTargets[s.Slot]
+	if len(cands) == 0 && s.Slot != "" && s.Field {
 		// Field calls with no named match fall back to functions seen in
 		// positional initializer lists.
-		if _, isField := unwrapField(call.Fun); isField {
-			cands = g.initTargets
-		}
+		cands = g.initTargets
 	}
-	if len(cands) == 0 {
-		return nil, false
-	}
-	for _, callee := range cands {
-		edges = append(edges, mk(callee, Pointer))
-	}
-	return edges, true
+	return appendPointerEdges(dst, caller, s, cands)
 }
 
-func unwrapField(e cast.Expr) (*cast.FieldExpr, bool) {
+// appendPointerEdges appends one pointer edge per candidate; a call with no
+// candidate is unresolved.
+func appendPointerEdges(dst []*Edge, caller *Node, s CallSite, cands []*Node) ([]*Edge, bool) {
+	for _, callee := range cands {
+		dst = append(dst, &Edge{Caller: caller, Callee: callee, Call: s.Call, Kind: Pointer})
+	}
+	return dst, len(cands) > 0
+}
+
+// isField reports whether a callee expression ends in a struct field,
+// looking through derefs, casts and indexing: p->op, (*p).op, ops[i].fn.
+func isField(e cast.Expr) bool {
 	for {
 		switch x := e.(type) {
 		case *cast.FieldExpr:
-			return x, true
+			return true
 		case *cast.UnaryExpr:
 			e = x.X
 		case *cast.CastExpr:
@@ -325,13 +341,20 @@ func unwrapField(e cast.Expr) (*cast.FieldExpr, bool) {
 		case *cast.IndexExpr:
 			e = x.X
 		default:
-			return nil, false
+			return false
 		}
 	}
 }
 
 // Lookup returns every definition named name, in build order.
-func (g *Graph) Lookup(name string) []*Node { return g.byName[name] }
+func (g *Graph) Lookup(name string) []*Node {
+	var out []*Node
+	for n := g.byName[name]; n != nil; n = n.prevDef {
+		out = append(out, n)
+	}
+	slices.Reverse(out)
+	return out
+}
 
 // ResolverFor returns a name resolver with fromFile's visibility: the
 // function cfg-level cross-file inlining uses. It returns nil for names with
@@ -390,16 +413,8 @@ func (g *Graph) FileDeps() map[string][]string {
 		for _, e := range n.Calls {
 			add(n.File, e.Callee.File)
 		}
-		calls := n.allCalls
-		if calls == nil {
-			calls = cast.Calls(n.Fn.Body)
-		}
-		for _, call := range calls {
-			name := call.FunName()
-			if name == "" {
-				continue
-			}
-			for _, def := range g.byName[name] {
+		for _, s := range n.sites {
+			for def := g.byName[s.Name]; def != nil; def = def.prevDef {
 				add(n.File, def.File)
 			}
 		}
@@ -445,49 +460,51 @@ func (g *Graph) Stats() Stats {
 // nodes in build order. Recursive functions form components of size >= 1
 // with a self or mutual cycle.
 func (g *Graph) SCCs() [][]*Node {
-	index := map[*Node]int{}
-	low := map[*Node]int{}
-	onStack := map[*Node]bool{}
+	n := len(g.Nodes)
+	index := make([]int, n) // visit order + 1; 0 = unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
 	var stack []*Node
 	var comps [][]*Node
-	next := 0
+	next := 1
 
 	var strongconnect func(v *Node)
 	strongconnect = func(v *Node) {
-		index[v] = next
-		low[v] = next
+		vi := v.index
+		index[vi] = next
+		low[vi] = next
 		next++
 		stack = append(stack, v)
-		onStack[v] = true
+		onStack[vi] = true
 		for _, e := range v.Calls {
-			w := e.Callee
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
+			wi := e.Callee.index
+			if index[wi] == 0 {
+				strongconnect(e.Callee)
+				if low[wi] < low[vi] {
+					low[vi] = low[wi]
 				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+			} else if onStack[wi] && index[wi] < low[vi] {
+				low[vi] = index[wi]
 			}
 		}
-		if low[v] == index[v] {
+		if low[vi] == index[vi] {
 			var comp []*Node
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
+				onStack[w.index] = false
 				comp = append(comp, w)
 				if w == v {
 					break
 				}
 			}
-			sort.Slice(comp, func(i, j int) bool { return index[comp[i]] < index[comp[j]] })
+			sort.Slice(comp, func(i, j int) bool { return index[comp[i].index] < index[comp[j].index] })
 			comps = append(comps, comp)
 		}
 	}
-	for _, n := range g.Nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	for _, v := range g.Nodes {
+		if index[v.index] == 0 {
+			strongconnect(v)
 		}
 	}
 	return comps

@@ -7,10 +7,10 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// graphsEquivalent asserts g2 (sharded) is exactly g1 (sequential): same
-// node order, same edges in the same order over the same call expressions,
-// same pointer-target tables. Both graphs must be built over the same
-// parsed []File so AST pointers are comparable.
+// graphsEquivalent asserts g2 (built from facts) is exactly g1 (Build over
+// the ASTs): same node order, same edges in the same order over the same
+// call expressions, same pointer-target tables. Both graphs must be built
+// over the same parsed []File so AST pointers are comparable.
 func graphsEquivalent(t *testing.T, g1, g2 *Graph) {
 	t.Helper()
 	if len(g1.Nodes) != len(g2.Nodes) {
@@ -67,9 +67,20 @@ func graphsEquivalent(t *testing.T, g1, g2 *Graph) {
 	}
 }
 
+// factsBuild is the incremental pipeline's path: every file's facts
+// gathered on their own, then resolved together by BuildFacts.
+func factsBuild(files []File, workers int) *Graph {
+	facts := make([]*Facts, len(files))
+	for i, f := range files {
+		facts[i] = FactsOf(f)
+	}
+	return BuildFacts(facts, workers)
+}
+
 // TestBuildParallelEquivalence covers the resolution corner cases: statics
 // shadowing externals, function-pointer slots, initializer-list fallbacks,
-// unresolved calls — at several worker counts against the sequential graph.
+// unresolved calls — at several worker counts, through BuildParallel and
+// through per-file facts, against Build.
 func TestBuildParallelEquivalence(t *testing.T) {
 	files := []File{
 		parse(t, "a.c", `
@@ -95,16 +106,38 @@ void cond_assign(int x) { void (*h)(void) = x ? impl_run : impl_stop; h(); }
 	}
 	seq := Build(files)
 	for _, workers := range []int{1, 3, 8} {
-		par := BuildParallel(files, workers)
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			graphsEquivalent(t, seq, par)
+			graphsEquivalent(t, seq, BuildParallel(files, workers))
+			graphsEquivalent(t, seq, factsBuild(files, workers))
 		})
+	}
+}
+
+// TestFactsResolveAtBuildTime keeps one file's facts while the files it
+// calls into change — a definition appears, turns static, disappears — and
+// rebuilds from the kept facts each time. Facts hold names, so every
+// rebuild must equal Build over the current files.
+func TestFactsResolveAtBuildTime(t *testing.T) {
+	caller := parse(t, "caller.c", `
+void user(void) { helper(); fp(); }
+`)
+	kept := FactsOf(caller)
+	for i, src := range []string{
+		`int unrelated(void) { return 0; }`,
+		`void helper(void) { } void (*fp)(void) = helper;`,
+		`static void helper(void) { } void (*fp)(void) = helper;`,
+		`void other(void) { }`,
+	} {
+		callee := parse(t, "callee.c", src)
+		want := Build([]File{caller, callee})
+		got := BuildFacts([]*Facts{kept, FactsOf(callee)}, 2)
+		t.Run(fmt.Sprint(i), func(t *testing.T) { graphsEquivalent(t, want, got) })
 	}
 }
 
 // TestBuildParallelEquivalenceTree runs the differential over a generated
 // source tree — cross-file chains, helpers, unresolved noise calls — which
-// is the corpus shape the sharded builder exists for.
+// is the corpus shape the facts-based builder exists for.
 func TestBuildParallelEquivalenceTree(t *testing.T) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(48, 3))
 	var files []File
@@ -112,10 +145,12 @@ func TestBuildParallelEquivalenceTree(t *testing.T) {
 		files = append(files, parse(t, f.Name, f.Src))
 	}
 	seq := Build(files)
-	par := BuildParallel(files, 8)
+	graphsEquivalent(t, seq, BuildParallel(files, 8))
+	par := factsBuild(files, 8)
 	graphsEquivalent(t, seq, par)
 
-	// The cache FileDeps consumes must reflect the same dependency map.
+	// The call names the facts carry must yield the same dependency map as
+	// Build's.
 	sd, pd := seq.FileDeps(), par.FileDeps()
 	if len(sd) != len(pd) {
 		t.Fatalf("FileDeps sizes differ: %d vs %d", len(sd), len(pd))

@@ -1,5 +1,11 @@
 package ofence
 
+import (
+	"ofence/internal/callgraph"
+	"ofence/internal/cast"
+	"ofence/internal/semprop"
+)
+
 // UseLegacyFrontendForTest routes the project's frontend through the
 // pre-overhaul oracle: the rune-based lexer, the arena-free parser, and no
 // identifier canonicalization. Differential tests and benchmarks compare
@@ -26,4 +32,60 @@ func (p *Project) FrontendMetersForTest() (tokens, arenaBytes int64) {
 		}
 	}
 	return
+}
+
+// GlobalPhasesForTest rebuilds the interprocedural global phases twice from
+// the project's current units: the production way (callgraph.BuildFacts
+// over the units' kept facts, semprop.InferSummaries over their kept
+// summaries) and the oracle way (callgraph.Build over the current ASTs, the
+// Sequential fixpoint summarizing every function afresh). Call it after an
+// interprocedural Analyze without ReleaseASTs, which leaves every unit with
+// an AST and facts.
+func (p *Project) GlobalPhasesForTest(extraFull []string) (g, oracle *callgraph.Graph, inf, oracleInf *semprop.Inference) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var facts []*callgraph.Facts
+	var sums []*semprop.Summary
+	var files []callgraph.File
+	for _, fu := range p.files {
+		facts = append(facts, fu.art.facts)
+		sums = append(sums, fu.art.sums...)
+		files = append(files, callgraph.File{Name: fu.Name, AST: fu.AST})
+	}
+	g = callgraph.BuildFacts(facts, 3)
+	oracle = callgraph.Build(files)
+	inf = semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extraFull, Workers: 3})
+	oracleInf = semprop.Infer(oracle, semprop.Options{ExtraFull: extraFull, Sequential: true})
+	return g, oracle, inf, oracleInf
+}
+
+// FactsPinningForTest names the units whose interprocedural facts or
+// summaries outlive or predate their AST: facts kept without an AST, or
+// facts whose function definitions are not the current AST's. Either would
+// keep a parse tree alive that the unit no longer uses.
+func (p *Project) FactsPinningForTest() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []string
+	for _, fu := range p.files {
+		art := fu.art
+		if art == nil || (art.facts == nil && art.sums == nil) {
+			continue
+		}
+		if art.ast == nil || art.facts == nil {
+			out = append(out, fu.Name)
+			continue
+		}
+		current := map[*cast.FuncDecl]bool{}
+		for _, fn := range art.ast.Functions() {
+			current[fn] = true
+		}
+		for _, ff := range art.facts.Funcs {
+			if !current[ff.Fn] {
+				out = append(out, fu.Name)
+				break
+			}
+		}
+	}
+	return out
 }

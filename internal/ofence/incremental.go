@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"ofence/internal/access"
+	"ofence/internal/callgraph"
 	"ofence/internal/cast"
 	"ofence/internal/cparser"
 	"ofence/internal/cpp"
@@ -39,6 +40,7 @@ import (
 	"ofence/internal/ctypes"
 	"ofence/internal/obs"
 	"ofence/internal/rescache"
+	"ofence/internal/semprop"
 )
 
 // Stage-cache names, one per per-file pipeline stage.
@@ -74,6 +76,39 @@ type artifacts struct {
 	sitesKey rescache.Key
 	// sites are the extract-stage barrier sites.
 	sites []*access.Site
+	// facts and sums are the interprocedural per-file facts: the call
+	// graph's name-level facts and each function's semprop summary (aligned
+	// with facts.Funcs). Both depend on ast alone and point into it, so they
+	// are computed from ast (refreshStale) and dropped with it
+	// (withoutAST). nil until the first interprocedural Analyze.
+	facts *callgraph.Facts
+	sums  []*semprop.Summary
+}
+
+// withoutAST returns a copy of a with the parse tree dropped, together with
+// the facts that point into it.
+func (a *artifacts) withoutAST() *artifacts {
+	next := *a
+	next.ast, next.facts, next.sums = nil, nil, nil
+	return &next
+}
+
+// withAST returns a copy of a carrying ast, a fresh parse of the same
+// content. The facts are dropped: facts built from another tree would keep
+// that tree alive.
+func (a *artifacts) withAST(ast *cast.File) *artifacts {
+	next := a.withoutAST()
+	next.ast = ast
+	return next
+}
+
+// withFacts returns a copy of a carrying the interprocedural facts of its
+// AST.
+func (a *artifacts) withFacts(name string) *artifacts {
+	next := *a
+	next.facts = callgraph.FactsOf(callgraph.File{Name: name, AST: a.ast})
+	next.sums = semprop.SummarizeFile(next.facts)
+	return &next
 }
 
 // preArtifact is the preprocess-stage cache value.
@@ -228,28 +263,35 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 }
 
-// refreshStale re-runs the front-end for units whose preprocessing
-// environment changed since their artifacts were built (Define/AddHeader
-// dirty every file) and for units whose AST a previous ReleaseASTs run
-// dropped — interprocedural analysis needs every parse tree. A unit whose
-// preprocessed content is byte-identical under the new environment keeps
-// every artifact, including cached sites; a released unit with unchanged
-// content gets the fresh AST grafted into its record, keeping cached sites.
-func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env projectEnv, workers int, direct bool) {
-	var stale []*FileUnit
+// refreshStale prepares every unit for the interprocedural global phases.
+// It re-runs the front-end for units whose preprocessing environment changed
+// since their artifacts were built (Define/AddHeader dirty every file) and
+// for units whose AST a previous ReleaseASTs run dropped — interprocedural
+// analysis needs every parse tree. A unit whose preprocessed content is
+// byte-identical under the new environment keeps every artifact, including
+// cached sites and facts; a released unit with unchanged content gets the
+// fresh AST grafted into its record, keeping cached sites. Then, in the same
+// per-file goroutine, it computes the call-graph facts and semprop summaries
+// of every unit that has none — new or edited files, and grafted ones.
+//
+// It returns how many files' facts and how many functions' summaries it
+// computed.
+func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env projectEnv, workers int, direct bool) (filesSummarized, fnsSummarized int64) {
+	var todo []*FileUnit
 	p.mu.Lock()
 	for _, fu := range files {
-		if fu.envStale || fu.art == nil || fu.art.ast == nil {
-			stale = append(stale, fu)
+		if fu.envStale || fu.art == nil || fu.art.ast == nil || fu.art.facts == nil {
+			todo = append(todo, fu)
 		}
 	}
 	p.mu.Unlock()
-	if len(stale) == 0 {
-		return
+	if len(todo) == 0 {
+		return 0, 0
 	}
+	var nfiles, nfns atomic.Int64
 	sem := make(chan struct{}, workers)
 	done := make(chan struct{})
-	for _, fu := range stale {
+	for _, fu := range todo {
 		go func(fu *FileUnit) {
 			defer func() { done <- struct{}{} }()
 			sem <- struct{}{}
@@ -257,25 +299,40 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 			if ctx.Err() != nil {
 				return // canceled: stay stale, the next Analyze retries
 			}
-			art := p.frontendWith(ctx, fu.Name, fu.src, env, direct)
 			p.mu.Lock()
-			if fu.art == nil || fu.art.preHash != art.preHash {
-				fu.art = art
-				fu.AST, fu.Errs = art.ast, art.errs
-				fu.Table, fu.Sites = nil, nil
-			} else if fu.art.ast == nil {
-				next := *fu.art
-				next.ast = art.ast
-				fu.art = &next
-				fu.AST = art.ast
+			art := fu.art
+			stale := fu.envStale
+			p.mu.Unlock()
+			if stale || art == nil || art.ast == nil {
+				fresh := p.frontendWith(ctx, fu.Name, fu.src, env, direct)
+				p.mu.Lock()
+				if fu.art == nil || fu.art.preHash != fresh.preHash {
+					fu.art = fresh
+					fu.AST, fu.Errs = fresh.ast, fresh.errs
+					fu.Table, fu.Sites = nil, nil
+				} else if fu.art.ast == nil {
+					fu.art = fu.art.withAST(fresh.ast)
+					fu.AST = fresh.ast
+				}
+				fu.envStale = false
+				art = fu.art
+				p.mu.Unlock()
 			}
-			fu.envStale = false
+			if art.facts != nil {
+				return
+			}
+			next := art.withFacts(fu.Name)
+			nfiles.Add(1)
+			nfns.Add(int64(len(next.sums)))
+			p.mu.Lock()
+			fu.art = next
 			p.mu.Unlock()
 		}(fu)
 	}
-	for range stale {
+	for range todo {
 		<-done
 	}
+	return nfiles.Load(), nfns.Load()
 }
 
 // pipelineFile streams one unit through the fused per-file pipeline of the
@@ -313,9 +370,7 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 		} else if fu.art.ast == nil {
 			// Released unit, unchanged content: graft the fresh AST, keep
 			// every cached artifact (table, sites, key).
-			next := *fu.art
-			next.ast = fresh.ast
-			fu.art = &next
+			fu.art = fu.art.withAST(fresh.ast)
 			fu.AST = fresh.ast
 		}
 		fu.envStale = false
@@ -349,7 +404,7 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 	if opts.ReleaseASTs {
 		// Extraction is the AST's last consumer at depth 0: drop it so live
 		// parse trees never exceed the in-flight worker count.
-		next.ast = nil
+		next = *next.withoutAST()
 	}
 	p.mu.Lock()
 	fu.art = &next

@@ -487,9 +487,11 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	} else {
 		// Phase 0: re-run the front-end for units dirtied by Define/AddHeader
 		// (or whose AST a previous ReleaseASTs run dropped), so every unit's
-		// artifacts are keyed by current content. A barrier here is required:
-		// the call graph below needs every AST.
-		p.refreshStale(ctx, files, env, workers, opts.ReleaseASTs)
+		// artifacts are keyed by current content, and compute the per-file
+		// call-graph facts and semprop summaries of every unit that has none
+		// (new, edited or re-parsed files). A barrier here is required: the
+		// call graph below needs every unit's facts.
+		filesSummarized, fnsSummarized := p.refreshStale(ctx, files, env, workers, opts.ReleaseASTs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -497,42 +499,54 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		// Interprocedural mode: build the cross-file call graph and run the
 		// barrier-semantics fixpoint before extraction, so every file's
 		// exploration sees the inferred implicit barriers and can splice callees
-		// across file boundaries. Both phases are cheap and project-wide, so
-		// they always run; the per-file extract cache stays sound because its
-		// keys fold in each file's dependency-closure hash — a one-file edit
-		// re-keys (and so re-extracts) every transitive caller, and only those.
+		// across file boundaries. Both phases are project-wide, so they always
+		// run, but over per-file facts and summaries that refreshStale keeps
+		// for unchanged files: only the resolve and the fixpoint are global.
+		// The per-file extract cache stays sound because its keys fold in each
+		// file's dependency-closure hash — a one-file edit re-keys (and so
+		// re-extracts) every transitive caller, and only those.
 		var resolve func(file string) func(string) *cast.FuncDecl
 		var inferredNames map[string]memmodel.BarrierKind
 		var closures map[string]string
 		{
-			cgf := make([]callgraph.File, 0, len(files))
-			for _, fu := range files {
-				cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
-			}
 			_, gsp := obs.Start(ctx, "callgraph")
 			var g *callgraph.Graph
+			var sums []*semprop.Summary
 			if p.seqGlobal {
+				cgf := make([]callgraph.File, 0, len(files))
+				for _, fu := range files {
+					cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
+				}
 				g = callgraph.Build(cgf)
 			} else {
-				g = callgraph.BuildParallel(cgf, workers)
+				facts := make([]*callgraph.Facts, len(files))
+				for i, fu := range files {
+					facts[i] = fu.art.facts
+					sums = append(sums, fu.art.sums...)
+				}
+				g = callgraph.BuildFacts(facts, workers)
 			}
 			res.CallGraph = g.Stats()
 			gsp.Add("functions", int64(res.CallGraph.Functions))
 			gsp.Add("edges", int64(res.CallGraph.Edges))
 			gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
+			gsp.Add("files_summarized", filesSummarized)
 			gsp.End()
 			_, ssp := obs.Start(ctx, "semprop")
 			sopts := semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics}
+			var inf *semprop.Inference
 			if p.seqGlobal {
 				sopts.Sequential = true
+				inf = semprop.Infer(g, sopts)
 			} else {
 				sopts.Workers = workers
+				inf = semprop.InferSummaries(g, sums, sopts)
 			}
-			inf := semprop.Infer(g, sopts)
 			res.Inferred = inf.Functions()
 			ssp.Add("inferred", int64(len(res.Inferred)))
 			ssp.Add("sccs", int64(inf.Components))
 			ssp.Add("scc_levels", int64(inf.Levels))
+			ssp.Add("fns_summarized", fnsSummarized)
 			ssp.End()
 			inferredNames = inf.NameKinds()
 			resolve = g.ResolverFor
@@ -600,15 +614,14 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		wg.Wait()
 		if opts.ReleaseASTs {
 			// Extraction is done and the call graph is built: drop every
-			// unit's top-level AST reference so steady-state residency is
-			// sites and tables, not parse trees. refreshStale re-frontends
-			// released units on the next interprocedural run.
+			// unit's top-level AST reference — and the facts and summaries
+			// pointing into it — so steady-state residency is sites and
+			// tables, not parse trees. refreshStale re-frontends released
+			// units on the next interprocedural run.
 			p.mu.Lock()
 			for _, fu := range files {
 				if fu.art != nil && fu.art.ast != nil {
-					next := *fu.art
-					next.ast = nil
-					fu.art = &next
+					fu.art = fu.art.withoutAST()
 				}
 				fu.AST = nil
 			}

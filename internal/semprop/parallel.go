@@ -24,7 +24,6 @@
 package semprop
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -32,46 +31,15 @@ import (
 	"ofence/internal/memmodel"
 )
 
-// inferSCC runs the condensation-scheduled fixpoint, filling inf.
-func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Inference) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// inferSCC runs the condensation-scheduled fixpoint over the bound infos,
+// filling kinds (indexed like g.Nodes) and inf's schedule counters.
+func inferSCC(g *callgraph.Graph, opts Options, infos []*fnInfo, inf *Inference) {
+	workers := workersOf(opts)
 	n := len(g.Nodes)
 	inf.Converged = true
 	if n == 0 {
 		return
 	}
-
-	idx := make(map[*callgraph.Node]int, n)
-	for i, nd := range g.Nodes {
-		idx[nd] = i
-	}
-
-	// Per-function precomputation (CFG build, block classification) is
-	// node-local; fan it out and translate each dynamic candidate list to
-	// dense indices so the hot evaluation loop never touches a map.
-	infos := make([]*fnInfo, n)
-	fanOut(n, workers, func(i int) {
-		info := precompute(g.Nodes[i], extra)
-		info.dynIdx = make([][][]int32, len(info.dynamic))
-		for bi, sites := range info.dynamic {
-			if len(sites) == 0 {
-				continue
-			}
-			out := make([][]int32, len(sites))
-			for si, cs := range sites {
-				ids := make([]int32, len(cs))
-				for ci, c := range cs {
-					ids[ci] = int32(idx[c])
-				}
-				out[si] = ids
-			}
-			info.dynIdx[bi] = out
-		}
-		infos[i] = info
-	})
 
 	// Condense and level the component DAG. SCCs() returns components in
 	// reverse topological order, so every cross-component callee has a
@@ -80,7 +48,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	compOf := make([]int32, n)
 	for ci, comp := range comps {
 		for _, nd := range comp {
-			compOf[idx[nd]] = int32(ci)
+			compOf[nd.Index()] = int32(ci)
 		}
 	}
 	level := make([]int32, len(comps))
@@ -88,7 +56,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	for ci, comp := range comps {
 		for _, nd := range comp {
 			for _, e := range nd.Calls {
-				cc := compOf[idx[e.Callee]]
+				cc := compOf[e.Callee.Index()]
 				if int(cc) != ci && level[cc]+1 > level[ci] {
 					level[ci] = level[cc] + 1
 				}
@@ -103,11 +71,10 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 		byLevel[level[ci]] = append(byLevel[level[ci]], ci)
 	}
 
-	kinds := make([]memmodel.BarrierKind, n) // ⊥ = None
 	var maxRounds atomic.Int64
 	for _, compIDs := range byLevel {
 		fanOut(len(compIDs), workers, func(i int) {
-			r := int64(evalComp(comps[compIDs[i]], infos, idx, kinds))
+			r := int64(evalComp(comps[compIDs[i]], infos, inf.kinds))
 			for {
 				cur := maxRounds.Load()
 				if r <= cur || maxRounds.CompareAndSwap(cur, r) {
@@ -120,19 +87,16 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	inf.Rounds = int(maxRounds.Load())
 	inf.Components = len(comps)
 	inf.Levels = int(maxLevel) + 1
-	for i, nd := range g.Nodes {
-		inf.kinds[nd] = kinds[i]
-	}
 }
 
 // evalComp evaluates one component to its local fixpoint, returning the
 // local round count. Callee kinds outside the component are final (lower
 // levels completed behind a barrier); kinds inside it are owned by this
 // goroutine only.
-func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]int, kinds []memmodel.BarrierKind) int {
+func evalComp(comp []*callgraph.Node, infos []*fnInfo, kinds []memmodel.BarrierKind) int {
 	if len(comp) == 1 && !callsSelf(comp[0]) {
-		i := idx[comp[0]]
-		kinds[i] = evaluateIdx(infos[i], kinds)
+		i := comp[0].Index()
+		kinds[i] = evaluate(infos[i], kinds)
 		return 1
 	}
 	rounds := 0
@@ -140,8 +104,8 @@ func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]i
 		changed = false
 		rounds++
 		for _, nd := range comp {
-			i := idx[nd]
-			k := evaluateIdx(infos[i], kinds)
+			i := nd.Index()
+			k := evaluate(infos[i], kinds)
 			if k != kinds[i] {
 				kinds[i] = k
 				changed = true
@@ -158,58 +122,6 @@ func callsSelf(n *callgraph.Node) bool {
 		}
 	}
 	return false
-}
-
-// evaluateIdx is evaluate over the dense kind slice (info.dynIdx instead of
-// info.dynamic). Keep the dataflow in lockstep with evaluate — the
-// differential suite compares the two paths' results, not their code.
-func evaluateIdx(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
-	nb := len(info.graph.Blocks)
-	if nb == 0 || len(info.exits) == 0 {
-		return memmodel.None
-	}
-
-	blockKind := func(bi int) memmodel.BarrierKind {
-		k := info.static[bi]
-		for _, cs := range info.dynIdx[bi] {
-			ck := memmodel.FullBarrier
-			for _, c := range cs {
-				ck = meet(ck, cur[c])
-			}
-			k = join(k, ck)
-		}
-		return k
-	}
-
-	out := make([]memmodel.BarrierKind, nb)
-	for i := range out {
-		out[i] = memmodel.FullBarrier // top: optimistic for a must-analysis
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := 0; bi < nb; bi++ {
-			in := memmodel.None
-			if bi != 0 { // entry keeps in = none: nothing executed yet
-				if ps := info.preds[bi]; len(ps) > 0 {
-					in = memmodel.FullBarrier
-					for _, p := range ps {
-						in = meet(in, out[p])
-					}
-				}
-			}
-			o := join(in, blockKind(bi))
-			if o != out[bi] {
-				out[bi] = o
-				changed = true
-			}
-		}
-	}
-
-	k := memmodel.FullBarrier
-	for _, e := range info.exits {
-		k = meet(k, out[e])
-	}
-	return k
 }
 
 // fanOut runs f over [0, n) with at most workers goroutines and waits for

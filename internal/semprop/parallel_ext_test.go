@@ -125,3 +125,48 @@ func TestSCCScheduleRoundsBounded(t *testing.T) {
 		t.Log(msg)
 	}
 }
+
+// TestInferSummariesOverFacts is the incremental pipeline's path: per-file
+// facts and summaries, computed once, feed BuildFacts and InferSummaries
+// under several ExtraFull settings. Every run must match the Sequential
+// oracle summarizing afresh over callgraph.Build — the summaries carry call
+// names, never the options' catalog lookups.
+func TestInferSummariesOverFacts(t *testing.T) {
+	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(64, 13))
+	// A wrapper around a name only ExtraFull declares a barrier, so the
+	// option changes the answer.
+	files := append(tr.Files, sitegen.TreeFile{Name: "extra.c", Src: "void custom_fence(void);\nvoid fence_wrap(void) { custom_fence(); }\n"})
+	var cgf []callgraph.File
+	var facts []*callgraph.Facts
+	var sums []*semprop.Summary
+	for _, f := range files {
+		ast, _ := cparser.ParseSource(f.Name, f.Src, cpp.Options{Include: kernelhdr.Headers()})
+		file := callgraph.File{Name: f.Name, AST: ast}
+		cgf = append(cgf, file)
+		fc := callgraph.FactsOf(file)
+		facts = append(facts, fc)
+		sums = append(sums, semprop.SummarizeFile(fc)...)
+	}
+	oracle := callgraph.Build(cgf)
+	g := callgraph.BuildFacts(facts, 3)
+
+	differs := false
+	for _, extra := range [][]string{nil, {"custom_fence"}, nil} {
+		want := semprop.Infer(oracle, semprop.Options{ExtraFull: extra, Sequential: true})
+		got := semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extra, Workers: 3})
+		for i, n := range g.Nodes {
+			if got.Kind(n) != want.Kind(oracle.Nodes[i]) {
+				t.Errorf("extra=%v: %s/%s: %v vs oracle %v", extra, n.File, n.Name(), got.Kind(n), want.Kind(oracle.Nodes[i]))
+			}
+		}
+		if extra != nil {
+			base := semprop.Infer(oracle, semprop.Options{Sequential: true})
+			for _, n := range oracle.Nodes {
+				differs = differs || base.Kind(n) != want.Kind(n)
+			}
+		}
+	}
+	if !differs {
+		t.Error("ExtraFull changes no inferred function; the option check is vacuous")
+	}
+}

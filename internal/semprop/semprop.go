@@ -45,6 +45,8 @@
 package semprop
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 
 	"ofence/internal/callgraph"
@@ -126,17 +128,19 @@ type Inference struct {
 	// SCC schedule walked; 0 when the legacy sequential loop ran.
 	Levels int
 
-	kinds map[*callgraph.Node]memmodel.BarrierKind
+	// kinds holds each node's kind, indexed like Graph.Nodes.
+	kinds []memmodel.BarrierKind
 }
 
-// Kind returns the inferred kind for a graph node.
-func (inf *Inference) Kind(n *callgraph.Node) memmodel.BarrierKind { return inf.kinds[n] }
+// Kind returns the inferred kind for a node of inf.Graph.
+func (inf *Inference) Kind(n *callgraph.Node) memmodel.BarrierKind { return inf.kinds[n.Index()] }
 
 // Functions returns every function with non-none inferred semantics, sorted
 // by (name, file) for deterministic reports.
 func (inf *Inference) Functions() []InferredFn {
 	var out []InferredFn
-	for n, k := range inf.kinds {
+	for i, n := range inf.Graph.Nodes {
+		k := inf.kinds[i]
 		if k == memmodel.None {
 			continue
 		}
@@ -159,16 +163,13 @@ func (inf *Inference) Functions() []InferredFn {
 // rely on regardless of which definition it binds to. Names with kind none
 // are omitted.
 func (inf *Inference) NameKinds() map[string]memmodel.BarrierKind {
-	byName := map[string]memmodel.BarrierKind{}
-	seen := map[string]bool{}
-	for n, k := range inf.kinds {
-		name := n.Name()
-		if !seen[name] {
-			seen[name] = true
-			byName[name] = k
-			continue
+	byName := make(map[string]memmodel.BarrierKind, len(inf.kinds))
+	for i, n := range inf.Graph.Nodes {
+		k := inf.kinds[i]
+		if cur, ok := byName[n.Name()]; ok {
+			k = meet(cur, k)
 		}
-		byName[name] = meet(byName[name], k)
+		byName[n.Name()] = k
 	}
 	for name, k := range byName {
 		if k == memmodel.None {
@@ -194,69 +195,229 @@ func InferredOnly(fns []InferredFn) map[string]bool {
 	return out
 }
 
-// fnInfo is the per-function precomputation reused across fixpoint rounds.
-type fnInfo struct {
-	graph *cfg.Graph
-	// static is each block's barrier contribution from the catalogs alone.
-	static []memmodel.BarrierKind
-	// dynamic lists, per block, the resolved call candidates whose inferred
-	// kinds contribute on re-evaluation.
-	dynamic [][][]*callgraph.Node
-	// exits are the reachable no-successor block IDs.
-	exits []int
-	preds [][]int
-	// dynIdx mirrors dynamic with dense node indices into the SCC
-	// schedule's kind slice; nil on the legacy sequential path.
-	dynIdx [][][]int32
+// Summary is one function's dataflow skeleton, built from its CFG: each
+// block's predecessors, the reachable exit blocks, and each block's calls in
+// execution order, by expression and callee name. It depends only on the
+// function's own AST — not on the call graph and not on the options — so an
+// incremental caller can keep it for as long as the file's content is
+// unchanged. It holds pointers into the AST but does not retain the CFG.
+//
+// A nil *Summary stands for a function whose reachable code makes no call:
+// every barrier contribution comes from a call, so its kind is none.
+type Summary struct {
+	// Block b's predecessors are preds[predOff[b]:predOff[b+1]] and its
+	// calls are calls[callOff[b]:callOff[b+1]].
+	predOff, preds []int32
+	callOff        []int32
+	calls          []call
+	exits          []int32
 }
 
-// Infer runs the interprocedural fixpoint over g. By default the fixpoint
-// is scheduled over the Tarjan condensation (see parallel.go): each
-// strongly connected component is evaluated to its local fixpoint exactly
-// once, in topological order, with independent components of a level
-// running concurrently. Setting Options.Sequential — or bounding
-// Options.MaxRounds, which only means something for global rounds — runs
-// the legacy whole-graph round-robin instead. Both reach the same least
-// fixpoint: the transfer function is monotone over a finite lattice, so
-// chaotic iteration converges to a unique result regardless of evaluation
-// order.
+// call is one call a block executes.
+type call struct {
+	expr *cast.CallExpr
+	// name is the callee identifier, "" for a call through a pointer.
+	name string
+}
+
+// blocks returns the number of CFG blocks.
+func (s *Summary) blocks() int { return len(s.predOff) - 1 }
+
+// Summarize builds fn's summary from its CFG.
+func Summarize(fn *cast.FuncDecl) *Summary {
+	g := cfg.Build(fn)
+	s := &Summary{
+		predOff: make([]int32, len(g.Blocks)+1),
+		callOff: make([]int32, len(g.Blocks)+1),
+	}
+	for bi, blk := range g.Blocks {
+		for _, u := range blk.Units {
+			if root := u.Root(); root != nil {
+				for _, c := range cast.Calls(root) {
+					s.calls = append(s.calls, call{expr: c, name: c.FunName()})
+				}
+			}
+		}
+		s.callOff[bi+1] = int32(len(s.calls))
+	}
+	reach := g.Reachable()
+	for id := range g.Blocks {
+		if reach[id] && len(g.Blocks[id].Succs) == 0 {
+			s.exits = append(s.exits, int32(id))
+		}
+	}
+	if len(s.calls) == 0 || len(s.exits) == 0 {
+		return nil
+	}
+	// Predecessor lists in (predecessor ID, successor order) — a counting
+	// pass sizes each block's range, a second pass fills it.
+	for _, blk := range g.Blocks {
+		for _, succ := range blk.Succs {
+			s.predOff[succ.ID+1]++
+		}
+	}
+	for b := 1; b < len(s.predOff); b++ {
+		s.predOff[b] += s.predOff[b-1]
+	}
+	s.preds = make([]int32, s.predOff[len(g.Blocks)])
+	fill := append([]int32(nil), s.predOff[:len(g.Blocks)]...)
+	for _, blk := range g.Blocks {
+		for _, succ := range blk.Succs {
+			s.preds[fill[succ.ID]] = int32(blk.ID)
+			fill[succ.ID]++
+		}
+	}
+	return s
+}
+
+// SummarizeFile summarizes every function of one file's call-graph facts,
+// aligned with fc.Funcs.
+func SummarizeFile(fc *callgraph.Facts) []*Summary {
+	out := make([]*Summary, len(fc.Funcs))
+	for i, ff := range fc.Funcs {
+		out[i] = Summarize(ff.Fn)
+	}
+	return out
+}
+
+// fnInfo is one function's summary bound to the current graph and options:
+// per block, the catalog's contribution (fixed across rounds) and the
+// resolved call sites, each a list of candidate edges, whose kinds evolve.
+type fnInfo struct {
+	sum    *Summary
+	static []memmodel.BarrierKind
+	dyn    [][][]*callgraph.Edge
+}
+
+// Infer runs the interprocedural fixpoint over g, summarizing every
+// function from its AST. See InferSummaries.
 func Infer(g *callgraph.Graph, opts Options) *Inference {
+	sums := make([]*Summary, len(g.Nodes))
+	fanOut(len(g.Nodes), workersOf(opts), func(i int) { sums[i] = Summarize(g.Nodes[i].Fn) })
+	return InferSummaries(g, sums, opts)
+}
+
+// InferSummaries runs the interprocedural fixpoint over g with precomputed
+// summaries, sums[i] being g.Nodes[i]'s. By default the fixpoint is
+// scheduled over the Tarjan condensation (see parallel.go): each strongly
+// connected component is evaluated to its local fixpoint exactly once, in
+// topological order, with independent components of a level running
+// concurrently. Setting Options.Sequential — or bounding Options.MaxRounds,
+// which only means something for global rounds — runs the legacy
+// whole-graph round-robin instead. Both reach the same least fixpoint: the
+// transfer function is monotone over a finite lattice, so chaotic iteration
+// converges to a unique result regardless of evaluation order.
+//
+// Call resolution and catalog lookups (including Options.ExtraFull) happen
+// here, never in Summarize, so a kept summary stays valid when another file
+// or an option changes.
+func InferSummaries(g *callgraph.Graph, sums []*Summary, opts Options) *Inference {
+	if len(sums) != len(g.Nodes) {
+		panic(fmt.Sprintf("semprop: %d summaries for %d nodes", len(sums), len(g.Nodes)))
+	}
 	extra := map[string]bool{}
 	for _, name := range opts.ExtraFull {
 		extra[name] = true
 	}
-	inf := &Inference{Graph: g, kinds: map[*callgraph.Node]memmodel.BarrierKind{}}
+	infos := make([]*fnInfo, len(g.Nodes))
+	fanOut(len(g.Nodes), workersOf(opts), func(i int) {
+		infos[i] = bind(g.Nodes[i], sums[i], extra)
+	})
+	inf := &Inference{Graph: g, kinds: make([]memmodel.BarrierKind, len(g.Nodes))} // ⊥ = None
 	if opts.Sequential || opts.MaxRounds > 0 {
-		inferRounds(g, opts, extra, inf)
+		inferRounds(opts, infos, inf)
 	} else {
-		inferSCC(g, opts, extra, inf)
+		inferSCC(g, opts, infos, inf)
 	}
 	return inf
 }
 
-// inferRounds is the legacy global round-robin fixpoint, kept verbatim as
-// the differential oracle and the MaxRounds-bounded mode.
-func inferRounds(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Inference) {
-	infos := make([]*fnInfo, len(g.Nodes))
-	for i, n := range g.Nodes {
-		infos[i] = precompute(n, extra)
+func workersOf(opts Options) int {
+	if opts.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	for _, n := range g.Nodes {
-		inf.kinds[n] = memmodel.None
-	}
+	return opts.Workers
+}
 
+// bind splits each block's barrier contribution into the static part
+// (catalog lookups, fixed across rounds) and the dynamic part (resolved
+// callees whose kinds evolve). A call resolved to definitions is judged by
+// those definitions — re-derived, not hardcoded. A function with neither
+// part is none whatever its callees do, and binds to nil.
+func bind(n *callgraph.Node, sum *Summary, extra map[string]bool) *fnInfo {
+	if sum == nil {
+		return nil
+	}
+	nb := sum.blocks()
+	info := &fnInfo{sum: sum, static: make([]memmodel.BarrierKind, nb), dyn: make([][][]*callgraph.Edge, nb)}
+	sites := callSites(n)
+	contributes := false
+	for bi := 0; bi < nb; bi++ {
+		for _, c := range sum.calls[sum.callOff[bi]:sum.callOff[bi+1]] {
+			if cs := sites(c.expr); len(cs) > 0 {
+				info.dyn[bi] = append(info.dyn[bi], cs)
+				contributes = true
+				continue
+			}
+			switch name := c.name; {
+			case name == "":
+				// unresolved pointer call: contributes none
+			case memmodel.Barrier(name) != nil:
+				info.static[bi] = join(info.static[bi], memmodel.Barrier(name).Kind)
+			case memmodel.SeqcountKind(name) != memmodel.None:
+				info.static[bi] = join(info.static[bi], memmodel.SeqcountKind(name))
+			case memmodel.HasBarrierSemantics(name) || extra[name]:
+				info.static[bi] = join(info.static[bi], memmodel.FullBarrier)
+			}
+			contributes = contributes || info.static[bi] != memmodel.None
+		}
+	}
+	if !contributes {
+		return nil
+	}
+	return info
+}
+
+// callSites returns a lookup from a call expression of n to its resolved
+// edges: a subslice of n.Calls, where each call's edges are contiguous.
+func callSites(n *callgraph.Node) func(*cast.CallExpr) []*callgraph.Edge {
+	calls := n.Calls
+	if len(calls) == 0 {
+		return func(*cast.CallExpr) []*callgraph.Edge { return nil }
+	}
+	first := make(map[*cast.CallExpr]int, len(calls))
+	for i := len(calls) - 1; i >= 0; i-- {
+		first[calls[i].Call] = i
+	}
+	return func(c *cast.CallExpr) []*callgraph.Edge {
+		i, ok := first[c]
+		if !ok {
+			return nil
+		}
+		j := i + 1
+		for j < len(calls) && calls[j].Call == c {
+			j++
+		}
+		return calls[i:j:j]
+	}
+}
+
+// inferRounds is the legacy global round-robin fixpoint, kept as the
+// differential oracle and the MaxRounds-bounded mode.
+func inferRounds(opts Options, infos []*fnInfo, inf *Inference) {
+	kinds := inf.kinds
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 2*len(g.Nodes) + 1
+		maxRounds = 2*len(kinds) + 1
 	}
 	changed := true
 	for changed && inf.Rounds < maxRounds {
 		changed = false
 		inf.Rounds++
-		for i, n := range g.Nodes {
-			k := evaluate(infos[i], inf.kinds)
-			if k != inf.kinds[n] {
-				inf.kinds[n] = k
+		for i := range kinds {
+			k := evaluate(infos[i], kinds)
+			if k != kinds[i] {
+				kinds[i] = k
 				changed = true
 			}
 		}
@@ -264,90 +425,35 @@ func inferRounds(g *callgraph.Graph, opts Options, extra map[string]bool, inf *I
 	inf.Converged = !changed
 }
 
-// precompute builds the CFG and splits each block's barrier contribution
-// into the static part (catalog lookups, fixed across rounds) and the
-// dynamic part (resolved callees whose kinds evolve).
-func precompute(n *callgraph.Node, extra map[string]bool) *fnInfo {
-	g := cfg.Build(n.Fn)
-	info := &fnInfo{
-		graph:   g,
-		static:  make([]memmodel.BarrierKind, len(g.Blocks)),
-		dynamic: make([][][]*callgraph.Node, len(g.Blocks)),
-	}
-
-	// Candidate targets per call site, from the resolved edges.
-	cands := map[*cast.CallExpr][]*callgraph.Node{}
-	for _, e := range n.Calls {
-		cands[e.Call] = append(cands[e.Call], e.Callee)
-	}
-
-	for bi, blk := range g.Blocks {
-		for _, u := range blk.Units {
-			root := u.Root()
-			if root == nil {
-				continue
-			}
-			for _, call := range cast.Calls(root) {
-				// A call resolved to definitions is judged by those
-				// definitions — re-derived, not hardcoded.
-				if cs := cands[call]; len(cs) > 0 {
-					info.dynamic[bi] = append(info.dynamic[bi], cs)
-					continue
-				}
-				name := call.FunName()
-				if name == "" {
-					continue // unresolved pointer call: contributes none
-				}
-				switch {
-				case memmodel.Barrier(name) != nil:
-					info.static[bi] = join(info.static[bi], memmodel.Barrier(name).Kind)
-				case memmodel.SeqcountKind(name) != memmodel.None:
-					info.static[bi] = join(info.static[bi], memmodel.SeqcountKind(name))
-				case memmodel.HasBarrierSemantics(name) || extra[name]:
-					info.static[bi] = join(info.static[bi], memmodel.FullBarrier)
-				}
-			}
-		}
-	}
-
-	reach := g.Reachable()
-	for id := range g.Blocks {
-		if reach[id] && len(g.Blocks[id].Succs) == 0 {
-			info.exits = append(info.exits, id)
-		}
-	}
-	info.preds = make([][]int, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			info.preds[s.ID] = append(info.preds[s.ID], blk.ID)
-		}
-	}
-	return info
-}
-
 // evaluate runs the per-function MUST dataflow under the current
 // interprocedural kinds and returns the function's barrier kind.
-func evaluate(info *fnInfo, cur map[*callgraph.Node]memmodel.BarrierKind) memmodel.BarrierKind {
-	nb := len(info.graph.Blocks)
-	if nb == 0 || len(info.exits) == 0 {
+func evaluate(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
+	if info == nil {
 		return memmodel.None
 	}
+	sum := info.sum
+	nb := sum.blocks()
 
 	// blockKind = static ∨ (for each dynamic call site, the meet over its
 	// candidate targets: the semantics guaranteed whichever binds).
 	blockKind := func(bi int) memmodel.BarrierKind {
 		k := info.static[bi]
-		for _, cs := range info.dynamic[bi] {
+		for _, cs := range info.dyn[bi] {
 			ck := memmodel.FullBarrier
-			for _, c := range cs {
-				ck = meet(ck, cur[c])
+			for _, e := range cs {
+				ck = meet(ck, cur[e.Callee.Index()])
 			}
 			k = join(k, ck)
 		}
 		return k
 	}
 
-	out := make([]memmodel.BarrierKind, nb)
+	var buf [64]memmodel.BarrierKind
+	out := buf[:0]
+	if nb > len(buf) {
+		out = make([]memmodel.BarrierKind, 0, nb)
+	}
+	out = out[:nb]
 	for i := range out {
 		out[i] = memmodel.FullBarrier // top: optimistic for a must-analysis
 	}
@@ -357,7 +463,7 @@ func evaluate(info *fnInfo, cur map[*callgraph.Node]memmodel.BarrierKind) memmod
 		for bi := 0; bi < nb; bi++ {
 			in := memmodel.None
 			if bi != 0 { // entry keeps in = none: nothing executed yet
-				if ps := info.preds[bi]; len(ps) > 0 {
+				if ps := sum.preds[sum.predOff[bi]:sum.predOff[bi+1]]; len(ps) > 0 {
 					in = memmodel.FullBarrier
 					for _, p := range ps {
 						in = meet(in, out[p])
@@ -373,7 +479,7 @@ func evaluate(info *fnInfo, cur map[*callgraph.Node]memmodel.BarrierKind) memmod
 	}
 
 	k := memmodel.FullBarrier
-	for _, e := range info.exits {
+	for _, e := range sum.exits {
 		k = meet(k, out[e])
 	}
 	return k
