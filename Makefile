@@ -20,9 +20,11 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test . -run TestDocs
 
-# Short fuzz pass over the parser robustness target (no panics, no hangs).
+# Short fuzz passes: the parser robustness target (no panics, no hangs) and
+# the header-memo differential (memoized and fresh preprocessing agree).
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocessMemo -fuzztime 30s
 
 test:
 	$(GO) test ./...

@@ -30,6 +30,10 @@ type Macro struct {
 	Variadic bool
 	Body     []ctoken.Token
 	IsFunc   bool
+
+	// hash is the macro's 128-bit content hash (see seal); the preprocessor
+	// XORs the hashes of the live macros into its macro-state key.
+	hash [2]uint64
 }
 
 // Options configures preprocessing.
@@ -53,6 +57,10 @@ type Options struct {
 	// (differential suites pin it); the flag exists so benchmarks and tests
 	// can hold the pre-overhaul frontend as an oracle.
 	LegacyLexer bool
+	// Memo, when non-nil, shares header expansions with every other run
+	// given the same Memo (see Memo for the binding rules). Never changes
+	// the result. Ignored by the legacy lexer path.
+	Memo *Memo
 }
 
 // Result is the preprocessed token stream plus diagnostics.
@@ -76,6 +84,10 @@ type Result struct {
 	// same bytes, at the pre-overhaul cost — so the oracle path measures
 	// what the original frontend actually did.
 	legacy bool
+
+	// replayed and expanded count the run's #includes served from the memo
+	// and the ones whose header was scanned and expanded.
+	replayed, expanded int
 }
 
 // Fingerprint returns the content address of the preprocess artifact: the
@@ -145,19 +157,37 @@ func hashError(h hash.Hash, buf []byte, err error) []byte {
 }
 
 type preprocessor struct {
-	opts     Options
-	macros   map[string]*Macro
-	out      []ctoken.Token
-	errs     []error
-	includes map[string]bool // cycle protection
+	opts   Options
+	macros map[string]*Macro
+	out    []ctoken.Token
+	errs   []error
+	// includes maps every file on the include stack to its depth (the root
+	// file is 1); the cycle guard skips an #include of any of them.
+	includes map[string]int
+
+	// state is the macro-state key: the XOR of every live macro's hash,
+	// kept current by setMacro.
+	state [2]uint64
+	// memo, recs, touched and seen drive header memoization (memo.go):
+	// the headers being recorded, innermost last, and the macro names and
+	// files logged while any recording is open.
+	memo     *Memo
+	recs     []recording
+	touched  []string
+	seen     []string
+	replayed int
+	expanded int
 
 	// h accumulates the content fingerprint while tokens are emitted, so
 	// Result.Fingerprint for the root file is ready the moment preprocessing
 	// finishes; hbuf batches the pending preimage bytes so the digest sees
 	// one Write per few kilobytes instead of one per token. The byte stream
-	// is identical either way, so fingerprints are unchanged.
-	h    hash.Hash
-	hbuf []byte
+	// is identical either way, so fingerprints are unchanged. hflush is the
+	// batch size that triggers a Write: hashFlushAt, or unbounded while a
+	// header is being recorded, so its preimage stays in hbuf to be copied.
+	h      hash.Hash
+	hbuf   []byte
+	hflush int
 
 	// hpfx caches the "\x00file:line:" chunk of the token preimage — tokens
 	// cluster by line, so the file name and line digits are re-rendered only
@@ -219,7 +249,7 @@ func (p *preprocessor) hashTok(tok ctoken.Token) {
 		return
 	}
 	b := p.hbuf
-	if len(b) >= 4<<10 {
+	if len(b) >= p.hflush {
 		p.h.Write(b)
 		b = b[:0]
 	}
@@ -237,6 +267,10 @@ func (p *preprocessor) hashTok(tok ctoken.Token) {
 	b = appendDecimal(b, tok.Pos.Col)
 	p.hbuf = append(b, '\n')
 }
+
+// hashFlushAt is the pending-preimage size at which hashTok writes the
+// batch into the digest.
+const hashFlushAt = 4 << 10
 
 // flushHash drains the pending preimage batch into the digest.
 func (p *preprocessor) flushHash() {
@@ -262,14 +296,18 @@ func PreprocessCtx(ctx context.Context, file, src string, opts Options) *Result 
 	sp.Add("tokens", int64(len(res.Tokens)))
 	sp.Add("macros", int64(len(res.Macros)))
 	sp.Add("errors", int64(len(res.Errors)))
+	sp.Add("includes_replayed", int64(res.replayed))
+	sp.Add("includes_expanded", int64(res.expanded))
 	return res
 }
 
 // scratch recycles the streaming preprocessor's per-file working buffers —
-// the pending fingerprint preimage, its line-prefix cache, and the directive
-// line buffer. None of them escape into the Result, so a pool entry is free
-// to move between files and workers.
+// the output token buffer, the pending fingerprint preimage, its line-prefix
+// cache, and the directive line buffer. None of them escape into the Result
+// (the output is copied out at its exact size), so a pool entry is free to
+// move between files and workers.
 type scratch struct {
+	out     []ctoken.Token
 	hbuf    []byte
 	hpfx    []byte
 	lineBuf []ctoken.Token
@@ -289,16 +327,19 @@ func preprocess(file, src string, opts Options) *Result {
 	p := &preprocessor{
 		opts:     opts,
 		macros:   map[string]*Macro{},
-		includes: map[string]bool{},
+		includes: map[string]int{},
+		hflush:   hashFlushAt,
 	}
 	var sc *scratch
 	if !opts.LegacyLexer {
-		// The overhauled frontend sizes the output once, fingerprints as it
-		// emits, and runs on pooled scratch buffers. The legacy oracle keeps
-		// the original cost profile: a nil output slice grown by append, and
-		// no streamed fingerprint — Result.Fingerprint re-walks the tokens on
+		// The overhauled frontend runs on pooled scratch buffers (the output
+		// included), fingerprints as it emits, and shares header expansions
+		// through the memo. The legacy oracle keeps the original cost
+		// profile: a nil output slice grown by append, no memo, and no
+		// streamed fingerprint — Result.Fingerprint re-walks the tokens on
 		// demand, as the pre-overhaul frontend always did.
 		sc = scratchPool.Get().(*scratch)
+		p.out = sc.out[:0]
 		p.h = sha256.New()
 		p.hbuf = append(sc.hbuf[:0], file...)
 		p.hbuf = append(p.hbuf, 0)
@@ -310,14 +351,32 @@ func preprocess(file, src string, opts Options) *Result {
 			}
 			p.ident = sc.ident.For(opts.Syms)
 		}
+		if opts.Memo != nil && opts.Memo.syms == opts.Syms {
+			p.memo = opts.Memo
+		}
 	}
 	for name, body := range opts.Defines {
-		lx := ctoken.NewLexer("<define:"+name+">", body)
-		p.macros[name] = &Macro{Name: name, Body: lx.All()}
-		p.bloomAdd(name)
+		var m *Macro
+		switch {
+		case opts.LegacyLexer:
+			lx := ctoken.NewLexer("<define:"+name+">", body)
+			m = &Macro{Name: name, Body: lx.All()}
+			m.seal()
+		case p.memo != nil:
+			m = p.memo.define(name, body)
+		default:
+			m = defineMacro(name, body, opts.Syms)
+		}
+		p.setMacro(name, m)
 	}
 	p.processFile(file, src)
-	res := &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros, legacy: opts.LegacyLexer}
+	toks := p.out
+	if sc != nil {
+		toks = append([]ctoken.Token(nil), p.out...)
+		clear(p.out) // drop the pooled buffer's references into this file's sources
+	}
+	res := &Result{Tokens: toks, Errors: p.errs, Macros: p.macros, legacy: opts.LegacyLexer,
+		replayed: p.replayed, expanded: p.expanded}
 	if p.h != nil {
 		for _, err := range p.errs {
 			p.flushHash()
@@ -329,6 +388,7 @@ func preprocess(file, src string, opts Options) *Result {
 		res.fpFile = file
 	}
 	if sc != nil {
+		sc.out = p.out[:0]
 		sc.hbuf = p.hbuf[:0]
 		sc.hpfx = p.hpfx[:0]
 		sc.lineBuf = p.lineBuf[:0]
@@ -411,10 +471,17 @@ type condState struct {
 }
 
 func (p *preprocessor) processFile(file, src string) {
-	if p.includes[file] {
+	if depth, on := p.includes[file]; on {
+		p.poison(depth)
 		return
 	}
-	p.includes[file] = true
+	if len(p.includes) > 0 {
+		p.expanded++
+	}
+	if len(p.recs) > 0 {
+		p.seen = append(p.seen, file)
+	}
+	p.includes[file] = len(p.includes) + 1
 	defer delete(p.includes, file)
 
 	if !p.opts.LegacyLexer {
@@ -493,7 +560,7 @@ func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 		}
 	case "undef":
 		if condsLive(conds) && len(ln.toks) >= 1 {
-			delete(p.macros, ln.toks[0].Text)
+			p.setMacro(ln.toks[0].Text, nil)
 		}
 	case "include":
 		if condsLive(conds) {
@@ -529,12 +596,6 @@ func (p *preprocessor) streamFile(file, src string) {
 	sc.KeepNewlines = true
 	sc.Syms = p.opts.Syms
 	sc.Ident = p.ident
-	if p.out == nil {
-		// Root file: size the output once for the expected whole-file token
-		// count — dense C runs about one token per four source bytes — so
-		// emission almost never reallocates.
-		p.out = make([]ctoken.Token, 0, len(src)/4+16)
-	}
 	errStart := len(p.errs)
 	buf := p.lineBuf[:0]
 	var conds []condState
@@ -653,13 +714,14 @@ func (p *preprocessor) define(ln line) {
 	} else {
 		m.Body = copyToks(rest)
 	}
-	p.macros[name] = m
-	p.bloomAdd(name)
+	m.seal()
+	p.setMacro(name, m)
 }
 
 // copyToks detaches a macro body from the pooled line buffer it was scanned
 // into: macro definitions outlive processFile (they are retained by
-// Result.Macros), so they must not alias recycled token storage.
+// Result.Macros and the memo), so they must not alias recycled token
+// storage.
 func copyToks(toks []ctoken.Token) []ctoken.Token {
 	if len(toks) == 0 {
 		return nil
@@ -697,7 +759,7 @@ func (p *preprocessor) include(ln line) {
 		// Unresolvable header: skip silently (outside the analyzed tree).
 		return
 	}
-	p.processFile(path, src)
+	p.includeFile(path, src)
 }
 
 // expandInto appends toks to the output, expanding macros. Only the legacy
@@ -849,7 +911,7 @@ func (p *preprocessor) substitute(m *Macro, args [][]ctoken.Token, at ctoken.Pos
 		if i+2 < len(body) && body[i+1].Kind == ctoken.HashHash {
 			left := expandOne(t, argFor)
 			right := expandOne(body[i+2], argFor)
-			pasted := pasteTokens(left, right, at)
+			pasted := p.pasteTokens(left, right, at)
 			out = append(out, pasted...)
 			i += 2
 			continue
@@ -875,8 +937,8 @@ func expandOne(t ctoken.Token, argFor func(string) ([]ctoken.Token, bool)) []cto
 }
 
 // pasteTokens concatenates the last token of left with the first of right,
-// re-lexing the result.
-func pasteTokens(left, right []ctoken.Token, at ctoken.Position) []ctoken.Token {
+// re-lexing the result (with the legacy lexer on the oracle path).
+func (p *preprocessor) pasteTokens(left, right []ctoken.Token, at ctoken.Position) []ctoken.Token {
 	if len(left) == 0 {
 		return right
 	}
@@ -884,8 +946,14 @@ func pasteTokens(left, right []ctoken.Token, at ctoken.Position) []ctoken.Token 
 		return left
 	}
 	glued := left[len(left)-1].Text + right[0].Text
-	lx := ctoken.NewLexer(at.File, glued)
-	mid := lx.All()
+	var mid []ctoken.Token
+	if p.opts.LegacyLexer {
+		mid = ctoken.NewLexer(at.File, glued).All()
+	} else {
+		sc := ctoken.NewScanner(at.File, glued)
+		sc.Syms = p.opts.Syms
+		mid = sc.AppendAll(nil)
+	}
 	for i := range mid {
 		mid[i].Pos = at
 	}

@@ -3,6 +3,7 @@ package ofence
 import (
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cpp"
 	"ofence/internal/semprop"
 )
 
@@ -89,3 +90,21 @@ func (p *Project) FactsPinningForTest() []string {
 	}
 	return out
 }
+
+// PreHashesForTest returns every unit's preprocess fingerprint by file
+// name.
+func (p *Project) PreHashesForTest() map[string]string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]string, len(p.files))
+	for _, fu := range p.files {
+		if fu.art != nil {
+			out[fu.Name] = fu.art.preHash
+		}
+	}
+	return out
+}
+
+// MemoForTest returns the header memo of the project's current
+// environment.
+func (p *Project) MemoForTest() *cpp.Memo { return p.envSnapshot().memo }

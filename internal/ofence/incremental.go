@@ -136,6 +136,9 @@ type projectEnv struct {
 	include map[string]string
 	defines map[string]string
 	hash    string
+	// memo shares header expansions between every file preprocessed under
+	// this environment (see cpp.Memo).
+	memo *cpp.Memo
 }
 
 // envSnapshot copies the headers/defines under the lock and returns them
@@ -153,10 +156,14 @@ func (p *Project) envSnapshot() projectEnv {
 		}
 		p.envHash = string(rescache.KeyOf("env-v1", parts...))
 	}
+	if p.memo == nil || p.memoEnv != p.envHash {
+		p.memo, p.memoEnv = cpp.NewMemo(p.syms), p.envHash
+	}
 	env := projectEnv{
 		include: make(map[string]string, len(p.headers)),
 		defines: make(map[string]string, len(p.defines)),
 		hash:    p.envHash,
+		memo:    p.memo,
 	}
 	for k, v := range p.headers {
 		env.include[k] = v
@@ -192,11 +199,7 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 func (p *Project) frontendDirect(ctx context.Context, name, src string, env projectEnv) *artifacts {
 	wrapCtx, wrapSpan := obs.Start(ctx, "parse")
 	wrapSpan.SetAttr("file", name)
-	copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-	if p.legacyFrontend {
-		copts.Syms, copts.LegacyLexer = nil, true
-	}
-	pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
+	pre := cpp.PreprocessCtx(wrapCtx, name, src, p.cppOptions(env))
 	// No arena: these trees are built to be dropped after extraction, and
 	// slab-batched nodes would stay pinned by the site records' pointers
 	// into them (see cparser.NewNoArena).
@@ -216,6 +219,15 @@ func (p *Project) frontendDirect(ctx context.Context, name, src string, env proj
 	}
 }
 
+// cppOptions returns the preprocessor options for env: the project's
+// symbol table and env's header memo, or the legacy lexer with neither.
+func (p *Project) cppOptions(env projectEnv) cpp.Options {
+	if p.legacyFrontend {
+		return cpp.Options{Include: env.include, Defines: env.defines, LegacyLexer: true}
+	}
+	return cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms, Memo: env.memo}
+}
+
 // frontendWith routes to the cached or direct front-end.
 func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv, direct bool) *artifacts {
 	if direct {
@@ -231,11 +243,7 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	v, _, _ := p.stages.Stage(stagePreprocess).Do(preKey, func() (any, error) {
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
-		copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-		if p.legacyFrontend {
-			copts.Syms, copts.LegacyLexer = nil, true
-		}
-		pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
+		pre := cpp.PreprocessCtx(wrapCtx, name, src, p.cppOptions(env))
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	})
 	pa := v.(*preArtifact)

@@ -21,6 +21,7 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
 	"ofence/internal/memmodel"
@@ -124,6 +125,10 @@ type Project struct {
 	// envHash caches the content hash of headers+defines; "" means
 	// recompute (AddHeader/Define reset it).
 	envHash string
+	// memo is the header memo of the environment hashed memoEnv; a new
+	// one replaces it when the environment changes. Shared with clones.
+	memo    *cpp.Memo
+	memoEnv string
 	// stages holds the content-addressed per-file artifact caches, shared
 	// with clones so equal work is never redone.
 	stages *rescache.Stages
@@ -289,6 +294,8 @@ func (p *Project) Clone() *Project {
 		defines: make(map[string]string, len(p.defines)),
 		files:   make([]*FileUnit, 0, len(p.files)),
 		envHash: p.envHash,
+		memo:    p.memo,
+		memoEnv: p.memoEnv,
 		stages:  p.stages,
 		syms:    p.syms,
 

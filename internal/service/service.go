@@ -253,10 +253,14 @@ func (c Config) withDefaults() Config {
 // Service runs analysis jobs on a bounded worker pool with a shared result
 // cache. Create with New, stop with Close.
 type Service struct {
-	cfg        Config
-	cache      *rescache.Cache
-	stages     *rescache.Stages
-	headers    map[string]string
+	cfg     Config
+	cache   *rescache.Cache
+	stages  *rescache.Stages
+	headers map[string]string
+	// memo shares header expansions between the cache-key preprocessing
+	// of every request; it is bound to headers, and request defines are
+	// part of its macro-state key.
+	memo       *cpp.Memo
 	met        *metrics
 	queue      chan *Job
 	quit       chan struct{}
@@ -290,6 +294,7 @@ func New(cfg Config) *Service {
 		cache:      rescache.New(cfg.CacheEntries),
 		stages:     rescache.NewStages(0),
 		headers:    kernelhdr.Headers(),
+		memo:       cpp.NewMemo(nil),
 		met:        newMetrics(),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		quit:       make(chan struct{}),
@@ -448,6 +453,7 @@ func (s *Service) contentKey(req *Request, opts ofence.Options) rescache.Key {
 		pre := cpp.Preprocess(name, req.Files[name], cpp.Options{
 			Include: s.headers,
 			Defines: req.Defines,
+			Memo:    s.memo,
 		})
 		parts = append(parts, name, pre.Fingerprint(name))
 	}
