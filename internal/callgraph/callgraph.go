@@ -295,10 +295,8 @@ func (g *Graph) addCallEdges(caller *Node, s CallSite) {
 }
 
 // appendEdges resolves one call site and appends its edges to dst without
-// mutating the graph, so the AST and facts builders share one resolution
-// semantics. It only reads the node and pointer-target maps, which are
-// frozen by the time edges are resolved — safe to call concurrently from
-// BuildFacts' workers.
+// mutating the graph. It only reads the node and pointer-target maps, which
+// are frozen by the time edges are resolved.
 func (g *Graph) appendEdges(dst []*Edge, caller *Node, s CallSite) (out []*Edge, resolved bool) {
 	if name := s.Name; name != "" {
 		if callee := g.funcNamed(caller.File, name); callee != nil {

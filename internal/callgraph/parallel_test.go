@@ -69,17 +69,17 @@ func graphsEquivalent(t *testing.T, g1, g2 *Graph) {
 
 // factsBuild is the incremental pipeline's path: every file's facts
 // gathered on their own, then resolved together by BuildFacts.
-func factsBuild(files []File, workers int) *Graph {
+func factsBuild(files []File) *Graph {
 	facts := make([]*Facts, len(files))
 	for i, f := range files {
 		facts[i] = FactsOf(f)
 	}
-	return BuildFacts(facts, workers)
+	return BuildFacts(facts)
 }
 
 // TestBuildParallelEquivalence covers the resolution corner cases: statics
 // shadowing externals, function-pointer slots, initializer-list fallbacks,
-// unresolved calls — at several worker counts, through BuildParallel and
+// unresolved calls — through BuildParallel at several worker counts and
 // through per-file facts, against Build.
 func TestBuildParallelEquivalence(t *testing.T) {
 	files := []File{
@@ -108,7 +108,7 @@ void cond_assign(int x) { void (*h)(void) = x ? impl_run : impl_stop; h(); }
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			graphsEquivalent(t, seq, BuildParallel(files, workers))
-			graphsEquivalent(t, seq, factsBuild(files, workers))
+			graphsEquivalent(t, seq, factsBuild(files))
 		})
 	}
 }
@@ -130,7 +130,7 @@ void user(void) { helper(); fp(); }
 	} {
 		callee := parse(t, "callee.c", src)
 		want := Build([]File{caller, callee})
-		got := BuildFacts([]*Facts{kept, FactsOf(callee)}, 2)
+		got := BuildFacts([]*Facts{kept, FactsOf(callee)})
 		t.Run(fmt.Sprint(i), func(t *testing.T) { graphsEquivalent(t, want, got) })
 	}
 }
@@ -146,7 +146,7 @@ func TestBuildParallelEquivalenceTree(t *testing.T) {
 	}
 	seq := Build(files)
 	graphsEquivalent(t, seq, BuildParallel(files, 8))
-	par := factsBuild(files, 8)
+	par := factsBuild(files)
 	graphsEquivalent(t, seq, par)
 
 	// The call names the facts carry must yield the same dependency map as

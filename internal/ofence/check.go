@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ofence/internal/access"
 	"ofence/internal/cfg"
@@ -92,21 +91,9 @@ func (c *checker) checkParallel(ctx context.Context, res *Result, workers int) (
 		workers = 1
 	}
 	perPairing := make([][]*Finding, len(res.Pairings))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pg := range res.Pairings {
-		wg.Add(1)
-		go func(i int, pg *Pairing) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			perPairing[i] = c.checkPairing(pg)
-		}(i, pg)
-	}
-	wg.Wait()
+	fanOut(ctx, len(res.Pairings), workers, func(i int) {
+		perPairing[i] = c.checkPairing(res.Pairings[i])
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

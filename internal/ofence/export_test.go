@@ -15,8 +15,7 @@ func (p *Project) UseLegacyFrontendForTest() { p.legacyFrontend = true }
 
 // UseSequentialGlobalForTest routes the project's interprocedural global
 // phases through the sequential pre-sharding oracle: callgraph.Build, the
-// round-robin semprop fixpoint, the per-file closure BFS, unsharded site
-// dedup and the sequential ranking census. The tree-scale overhaul's
+// round-robin semprop fixpoint and the per-file closure BFS. The tree-scale overhaul's
 // differential tests and benchmarks compare production runs against
 // projects configured this way.
 func (p *Project) UseSequentialGlobalForTest() { p.seqGlobal = true }
@@ -53,9 +52,9 @@ func (p *Project) GlobalPhasesForTest(extraFull []string) (g, oracle *callgraph.
 		sums = append(sums, fu.art.sums...)
 		files = append(files, callgraph.File{Name: fu.Name, AST: fu.AST})
 	}
-	g = callgraph.BuildFacts(facts, 3)
+	g = callgraph.BuildFacts(facts)
 	oracle = callgraph.Build(files)
-	inf = semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extraFull, Workers: 3})
+	inf = semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extraFull})
 	oracleInf = semprop.Infer(oracle, semprop.Options{ExtraFull: extraFull, Sequential: true})
 	return g, oracle, inf, oracleInf
 }

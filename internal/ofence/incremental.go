@@ -79,7 +79,7 @@ type artifacts struct {
 	// facts and sums are the interprocedural per-file facts: the call
 	// graph's name-level facts and each function's semprop summary (aligned
 	// with facts.Funcs). Both depend on ast alone and point into it, so they
-	// are computed from ast (refreshStale) and dropped with it
+	// are computed from ast (interprocPhases) and dropped with it
 	// (withoutAST). nil until the first interprocedural Analyze.
 	facts *callgraph.Facts
 	sums  []*semprop.Summary
@@ -183,81 +183,50 @@ func sortedKeys(m map[string]string) []string {
 	return out
 }
 
-// frontend runs the preprocess and parse stages for (name, src) under env,
-// through the stage caches. On a full hit nothing runs and no spans are
-// recorded; on a preprocess miss both stages run under the classic
+// frontend runs the preprocess and parse stages for (name, src) under env.
+// With cached set, both stages go through the stage caches: on a full hit
+// nothing runs and no spans are recorded. Without it — ReleaseASTs mode —
+// both stages run directly, so the LRU retains neither token streams nor
+// parse trees, and the tree is built without the AST arena: slab-batched
+// nodes would stay pinned by the site records' pointers into a tree the
+// pipeline drops after extraction (see cparser.NewNoArena). Whenever
+// preprocessing runs, both stages run under the classic
 // parse-wrapping-preprocess span topology of cparser.ParseSourceCtx.
-func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv) *artifacts {
-	return p.frontendWith(ctx, name, src, env, false)
-}
-
-// frontendDirect is the uncached front-end used by ReleaseASTs mode: the
-// same preprocess+parse under the same span topology, but bypassing the
-// stage caches entirely so the LRU retains neither token streams nor parse
-// trees — the artifacts record is the only reference, and the pipeline
-// drops its ast as soon as extraction is done.
-func (p *Project) frontendDirect(ctx context.Context, name, src string, env projectEnv) *artifacts {
-	wrapCtx, wrapSpan := obs.Start(ctx, "parse")
-	wrapSpan.SetAttr("file", name)
-	pre := cpp.PreprocessCtx(wrapCtx, name, src, p.cppOptions(env))
-	// No arena: these trees are built to be dropped after extraction, and
-	// slab-batched nodes would stay pinned by the site records' pointers
-	// into them (see cparser.NewNoArena).
-	psr := cparser.NewNoArena(pre.Tokens)
-	if p.legacyFrontend {
-		psr = cparser.NewLegacy(pre.Tokens)
-	}
-	ast := psr.ParseFile(name)
-	errs := append(append([]error{}, pre.Errors...), psr.Errors()...)
-	wrapSpan.Add("tokens", int64(len(pre.Tokens)))
-	wrapSpan.Add("decls", int64(len(ast.Decls)))
-	wrapSpan.Add("errors", int64(len(errs)))
-	wrapSpan.End()
-	return &artifacts{
-		preHash: pre.Fingerprint(name), ast: ast, errs: errs,
-		tokens: len(pre.Tokens), arenaBytes: psr.ArenaBytes(),
-	}
-}
-
-// cppOptions returns the preprocessor options for env: the project's
-// symbol table and env's header memo, or the legacy lexer with neither.
-func (p *Project) cppOptions(env projectEnv) cpp.Options {
-	if p.legacyFrontend {
-		return cpp.Options{Include: env.include, Defines: env.defines, LegacyLexer: true}
-	}
-	return cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms, Memo: env.memo}
-}
-
-// frontendWith routes to the cached or direct front-end.
-func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv, direct bool) *artifacts {
-	if direct {
-		return p.frontendDirect(ctx, name, src, env)
-	}
-	preKey := rescache.KeyOf("preprocess-v1", env.hash, name, src)
-
+func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv, cached bool) *artifacts {
 	// The "parse" span must start before preprocessing runs and end after
 	// parsing finishes, but only exist when this caller actually executes
 	// the preprocess stage — cache hits contribute no spans.
 	var wrapSpan *obs.Span
-	wrapCtx := ctx
-	v, _, _ := p.stages.Stage(stagePreprocess).Do(preKey, func() (any, error) {
+	preprocess := func() (any, error) {
+		var wrapCtx context.Context
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
 		pre := cpp.PreprocessCtx(wrapCtx, name, src, p.cppOptions(env))
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
-	})
-	pa := v.(*preArtifact)
-
-	pv, _, _ := p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
+	}
+	parse := func(pa *preArtifact) (any, error) {
 		psr := cparser.New(pa.pre.Tokens)
+		if !cached {
+			psr = cparser.NewNoArena(pa.pre.Tokens)
+		}
 		if p.legacyFrontend {
 			psr = cparser.NewLegacy(pa.pre.Tokens)
 		}
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
 		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}, nil
-	})
-	ba := pv.(*parseArtifact)
+	}
+
+	var v, pv any
+	if cached {
+		v, _, _ = p.stages.Stage(stagePreprocess).Do(rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+		pa := v.(*preArtifact)
+		pv, _, _ = p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) { return parse(pa) })
+	} else {
+		v, _ = preprocess()
+		pv, _ = parse(v.(*preArtifact))
+	}
+	pa, ba := v.(*preArtifact), pv.(*parseArtifact)
 
 	if wrapSpan != nil {
 		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
@@ -271,152 +240,125 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 }
 
-// refreshStale prepares every unit for the interprocedural global phases.
-// It re-runs the front-end for units whose preprocessing environment changed
-// since their artifacts were built (Define/AddHeader dirty every file) and
-// for units whose AST a previous ReleaseASTs run dropped — interprocedural
-// analysis needs every parse tree. A unit whose preprocessed content is
-// byte-identical under the new environment keeps every artifact, including
-// cached sites and facts; a released unit with unchanged content gets the
-// fresh AST grafted into its record, keeping cached sites. Then, in the same
-// per-file goroutine, it computes the call-graph facts and semprop summaries
-// of every unit that has none — new or edited files, and grafted ones.
-//
-// It returns how many files' facts and how many functions' summaries it
-// computed.
-func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env projectEnv, workers int, direct bool) (filesSummarized, fnsSummarized int64) {
-	var todo []*FileUnit
-	p.mu.Lock()
-	for _, fu := range files {
-		if fu.envStale || fu.art == nil || fu.art.ast == nil || fu.art.facts == nil {
-			todo = append(todo, fu)
-		}
+// cppOptions returns the preprocessor options for env: the project's
+// symbol table and env's header memo, or the legacy lexer with neither.
+func (p *Project) cppOptions(env projectEnv) cpp.Options {
+	if p.legacyFrontend {
+		return cpp.Options{Include: env.include, Defines: env.defines, LegacyLexer: true}
 	}
-	p.mu.Unlock()
-	if len(todo) == 0 {
-		return 0, 0
-	}
-	var nfiles, nfns atomic.Int64
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{})
-	for _, fu := range todo {
-		go func(fu *FileUnit) {
-			defer func() { done <- struct{}{} }()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // canceled: stay stale, the next Analyze retries
-			}
-			p.mu.Lock()
-			art := fu.art
-			stale := fu.envStale
-			p.mu.Unlock()
-			if stale || art == nil || art.ast == nil {
-				fresh := p.frontendWith(ctx, fu.Name, fu.src, env, direct)
-				p.mu.Lock()
-				if fu.art == nil || fu.art.preHash != fresh.preHash {
-					fu.art = fresh
-					fu.AST, fu.Errs = fresh.ast, fresh.errs
-					fu.Table, fu.Sites = nil, nil
-				} else if fu.art.ast == nil {
-					fu.art = fu.art.withAST(fresh.ast)
-					fu.AST = fresh.ast
-				}
-				fu.envStale = false
-				art = fu.art
-				p.mu.Unlock()
-			}
-			if art.facts != nil {
-				return
-			}
-			next := art.withFacts(fu.Name)
-			nfiles.Add(1)
-			nfns.Add(int64(len(next.sums)))
-			p.mu.Lock()
-			fu.art = next
-			p.mu.Unlock()
-		}(fu)
-	}
-	for range todo {
-		<-done
-	}
-	return nfiles.Load(), nfns.Load()
+	return cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms, Memo: env.memo}
 }
 
-// pipelineFile streams one unit through the fused per-file pipeline of the
-// depth-0 Analyze: front-end refresh (only when the unit is new or its
-// environment went stale), then the reuse-check → table → extract tail. It
-// preserves refreshStale's semantics exactly — a unit whose preprocessed
-// content is unchanged keeps every artifact, including cached sites — and
-// the classic path's reuse accounting: +reused for in-place or shared-cache
-// sites, +recomputed when extraction runs.
-func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEnv, fp string, opts Options, extractCache *rescache.Cache, reused, recomputed *atomic.Int64) {
+// refreshUnit returns fu's current record after re-running the front end
+// if the unit needs it: its preprocessing environment changed since the
+// record was built (Define/AddHeader dirty every file), it is new, or a
+// previous ReleaseASTs run dropped its AST. A unit whose preprocessed
+// content is byte-identical under the new environment keeps every artifact,
+// including cached sites and facts; a released unit with unchanged content
+// gets the fresh AST grafted into its record, keeping cached sites.
+func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv, release bool) *artifacts {
 	p.mu.Lock()
 	art, stale, src := fu.art, fu.envStale, fu.src
 	p.mu.Unlock()
-
-	// Reuse check before any front-end work: a clean unit whose sites match
-	// the wanted key needs neither tokens nor an AST — a unit released by a
-	// previous ReleaseASTs run is served without re-parsing.
-	if art != nil && !stale {
-		if want := extractKeyFor(fp, fu.Name, art.preHash, ""); art.sitesKey == want {
-			reused.Add(1)
-			p.mu.Lock()
-			fu.Table, fu.Sites = art.table, art.sites
-			p.mu.Unlock()
-			return
-		}
+	if !stale && art != nil && art.ast != nil {
+		return art
 	}
-
-	if art == nil || stale || art.ast == nil {
-		fresh := p.frontendWith(ectx, fu.Name, src, env, opts.ReleaseASTs)
-		p.mu.Lock()
-		if fu.art == nil || fu.art.preHash != fresh.preHash {
-			fu.art = fresh
-			fu.AST, fu.Errs = fresh.ast, fresh.errs
-			fu.Table, fu.Sites = nil, nil
-		} else if fu.art.ast == nil {
-			// Released unit, unchanged content: graft the fresh AST, keep
-			// every cached artifact (table, sites, key).
-			fu.art = fu.art.withAST(fresh.ast)
-			fu.AST = fresh.ast
-		}
-		fu.envStale = false
-		art = fu.art
-		p.mu.Unlock()
+	fresh := p.frontend(ctx, fu.Name, src, env, !release)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if fu.art == nil || fu.art.preHash != fresh.preHash {
+		fu.art = fresh
+		fu.AST, fu.Errs = fresh.ast, fresh.errs
+		fu.Table, fu.Sites = nil, nil
+	} else if fu.art.ast == nil {
+		fu.art = fu.art.withAST(fresh.ast)
+		fu.AST = fresh.ast
 	}
+	fu.envStale = false
+	return fu.art
+}
 
-	want := extractKeyFor(fp, fu.Name, art.preHash, "")
-	if art.sitesKey == want {
-		reused.Add(1)
-		p.mu.Lock()
-		fu.Table, fu.Sites = art.table, art.sites
-		p.mu.Unlock()
+// extractRun is what one Analyze call's extraction phase shares across
+// files: the per-schedule inputs and the reuse counters.
+type extractRun struct {
+	env   projectEnv
+	fp    string
+	cache *rescache.Cache
+	// aopts are the extraction options; resolve, when set, supplies each
+	// file's cross-file callee resolver.
+	aopts   access.Options
+	resolve func(file string) func(string) *cast.FuncDecl
+	// closures are the interprocedural dependency-closure hashes (nil at
+	// depth 0), folded into every file's extract key.
+	closures map[string]string
+	// release runs the front end without the stage caches (ReleaseASTs);
+	// dropAST drops each unit's AST as soon as its extraction is done — at
+	// depth 0, where extraction is the AST's last consumer.
+	release, dropAST bool
+
+	reused, recomputed atomic.Int64
+}
+
+// key returns the extract-stage key fu's sites must carry for this run.
+func (r *extractRun) key(fu *FileUnit, art *artifacts) rescache.Key {
+	return extractKeyFor(r.fp, fu.Name, art.preHash, r.closures[fu.Name])
+}
+
+// serve publishes art's sites as fu's when they were computed under want.
+func (p *Project) serve(r *extractRun, fu *FileUnit, art *artifacts, want rescache.Key) bool {
+	if art.sitesKey != want {
+		return false
+	}
+	r.reused.Add(1)
+	p.mu.Lock()
+	fu.Table, fu.Sites = art.table, art.sites
+	p.mu.Unlock()
+	return true
+}
+
+// extractUnit carries one unit through extraction. A unit whose record
+// already carries sites for the wanted key is served in place, checked
+// before any front-end work, so a unit released by a previous ReleaseASTs
+// run is served without re-parsing. Otherwise the front end refreshes the
+// unit if it needs it (refreshUnit), and a key found in the shared stage
+// cache (e.g. computed by a clone) is adopted without running; only
+// genuinely new (file content × options × closure) combinations execute.
+// Reuse accounting: +reused for in-place or shared-cache sites, +recomputed
+// when extraction runs.
+func (p *Project) extractUnit(ctx context.Context, r *extractRun, fu *FileUnit) {
+	p.mu.Lock()
+	art, stale := fu.art, fu.envStale
+	p.mu.Unlock()
+	if art != nil && !stale && p.serve(r, fu, art, r.key(fu, art)) {
 		return
 	}
-	v, hit, _ := extractCache.Do(want, func() (any, error) {
-		recomputed.Add(1)
+	art = p.refreshUnit(ctx, fu, r.env, r.release)
+	want := r.key(fu, art)
+	if p.serve(r, fu, art, want) {
+		return
+	}
+	v, hit, _ := r.cache.Do(want, func() (any, error) {
+		r.recomputed.Add(1)
 		table := p.tableFor(fu.Name, art)
-		aopts := opts.Access
-		aopts.Syms = p.extractSyms()
-		ex := access.NewExtractor(fu.Name, table, aopts)
-		sites := ex.ExtractFileCtx(ectx, art.ast)
+		aopts := r.aopts
+		if r.resolve != nil {
+			aopts.Resolve = r.resolve(fu.Name)
+		}
+		sites := access.NewExtractor(fu.Name, table, aopts).ExtractFileCtx(ctx, art.ast)
 		return &extractArtifact{table: table, sites: sites}, nil
 	})
 	if hit {
-		reused.Add(1)
+		r.reused.Add(1)
 	}
 	ea := v.(*extractArtifact)
 	next := *art
 	next.table, next.sites, next.sitesKey = ea.table, ea.sites, want
-	if opts.ReleaseASTs {
-		// Extraction is the AST's last consumer at depth 0: drop it so live
-		// parse trees never exceed the in-flight worker count.
+	if r.dropAST {
 		next = *next.withoutAST()
 	}
 	p.mu.Lock()
 	fu.art = &next
-	if opts.ReleaseASTs {
+	if r.dropAST {
 		fu.AST = nil
 	}
 	fu.Table, fu.Sites = ea.table, ea.sites

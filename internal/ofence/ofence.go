@@ -24,7 +24,6 @@ import (
 	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
-	"ofence/internal/memmodel"
 	"ofence/internal/obs"
 	"ofence/internal/rescache"
 	"ofence/internal/semprop"
@@ -143,10 +142,10 @@ type Project struct {
 	// set in production paths.
 	legacyFrontend bool
 	// seqGlobal routes the interprocedural global phases through the
-	// sequential pre-sharding implementations (callgraph.Build, round-robin
-	// semprop, per-file closure BFS, unsharded dedup and census). The
-	// tree-scale overhaul's differential tests and benchmarks use it as the
-	// oracle; it is never set in production paths.
+	// reference implementations (callgraph.Build over the ASTs, round-robin
+	// semprop, per-file closure BFS). The tree-scale overhaul's
+	// differential tests and benchmarks use it as the oracle; it is never
+	// set in production paths.
 	seqGlobal bool
 	// runMu serializes Analyze calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
@@ -196,7 +195,7 @@ func (p *Project) markEnvChangedLocked() {
 // the file unit, not fatal (Smatch-style resilience).
 func (p *Project) AddSource(name, src string) *FileUnit {
 	env := p.envSnapshot()
-	art := p.frontend(context.Background(), name, src, env)
+	art := p.frontend(context.Background(), name, src, env, true)
 	fu := &FileUnit{Name: name, AST: art.ast, Errs: art.errs, src: src, art: art}
 	p.mu.Lock()
 	p.files = append(p.files, fu)
@@ -223,20 +222,12 @@ func (p *Project) AddSources(srcs []SourceFile) []*FileUnit {
 func (p *Project) AddSourcesCtx(ctx context.Context, srcs []SourceFile) []*FileUnit {
 	env := p.envSnapshot()
 	units := make([]*FileUnit, len(srcs))
-	workers := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, sf := range srcs {
-		wg.Add(1)
-		go func(i int, sf SourceFile) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			art := p.frontend(ctx, sf.Name, sf.Src, env)
-			units[i] = &FileUnit{Name: sf.Name, AST: art.ast, Errs: art.errs, src: sf.Src, art: art}
-		}(i, sf)
-	}
-	wg.Wait()
+	// ctx only carries the tracer here: every file is parsed.
+	fanOut(context.WithoutCancel(ctx), len(srcs), runtime.GOMAXPROCS(0), func(i int) {
+		sf := srcs[i]
+		art := p.frontend(ctx, sf.Name, sf.Src, env, true)
+		units[i] = &FileUnit{Name: sf.Name, AST: art.ast, Errs: art.errs, src: sf.Src, art: art}
+	})
 
 	p.mu.Lock()
 	p.files = append(p.files, units...)
@@ -261,8 +252,7 @@ func (p *Project) AnalyzeSources(srcs []SourceFile, opts Options) *Result {
 func (p *Project) AnalyzeSourcesCtx(ctx context.Context, srcs []SourceFile, opts Options) (*Result, error) {
 	units := make([]*FileUnit, len(srcs))
 	for i, sf := range srcs {
-		// envStale routes the unit through the front-end on first analysis,
-		// both in the fused pipeline and in refreshStale.
+		// envStale routes the unit through the front-end on first analysis.
 		units[i] = &FileUnit{Name: sf.Name, src: sf.Src, envStale: true}
 	}
 	p.mu.Lock()
@@ -343,7 +333,7 @@ func (p *Project) ReplaceSourceCtx(ctx context.Context, name, src string) *FileU
 		return nil
 	}
 	env := p.envSnapshot()
-	art := p.frontend(ctx, name, src, env)
+	art := p.frontend(ctx, name, src, env, true)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.files[idx]
@@ -436,7 +426,16 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	return p.analyze(ctx, opts)
 }
 
-// analyze is the shared pipeline behind Analyze and AnalyzeParallel.
+// analyze is the shared pipeline behind Analyze and AnalyzeParallel. Every
+// file goes through the same per-unit steps — front-end refresh
+// (refreshUnit), then reuse-or-extract (extractUnit) — on one bounded pool;
+// the depths differ only in where the barrier sits. At depth 0 a file's
+// extraction depends on nothing but that file, so one pass carries each
+// file from refresh through extraction and the parse of a later file
+// overlaps the extraction of an earlier one. In interprocedural mode the
+// call graph and the fixpoint need every file's facts first, so a refresh
+// pass (plus per-file facts) runs to a barrier, then the global phases,
+// then the extraction pass.
 func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
@@ -447,7 +446,6 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	ctx, asp := obs.Start(ctx, "analyze")
 	defer asp.End()
 	res := &Result{}
-	fp := opts.Fingerprint()
 
 	env := p.envSnapshot()
 	p.mu.Lock()
@@ -460,180 +458,45 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	phaseStart := time.Now()
-	var reused, recomputed, busyNS atomic.Int64
-	extractCache := p.stages.Stage(stageExtract)
-	var ectx context.Context
-	var esp *obs.Span
+	run := &extractRun{
+		env:     env,
+		fp:      opts.Fingerprint(),
+		cache:   p.stages.Stage(stageExtract),
+		aopts:   opts.Access,
+		release: opts.ReleaseASTs,
+		dropAST: opts.ReleaseASTs && opts.InterprocDepth == 0,
+	}
+	run.aopts.Syms = p.extractSyms()
 
-	if opts.InterprocDepth == 0 {
-		// Phases 0+1 fused into a pipelined per-file schedule: each worker
-		// streams one file end to end — front-end refresh (preprocess+parse,
-		// only when the unit is stale or new) → symbol table → extraction —
-		// so there is no front-end barrier and the parse of a later file
-		// overlaps the extraction of an earlier one. Sound only at depth 0,
-		// where a file's extraction depends on nothing but that file.
-		ectx, esp = obs.Start(ctx, "extract")
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, fu := range files {
-			wg.Add(1)
-			go func(fu *FileUnit) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return // canceled: leave the unit's artifacts as they were
-				}
-				start := time.Now()
-				defer func() { busyNS.Add(int64(time.Since(start))) }()
-				p.pipelineFile(ectx, fu, env, fp, opts, extractCache, &reused, &recomputed)
-			}(fu)
-		}
-		wg.Wait()
-	} else {
-		// Phase 0: re-run the front-end for units dirtied by Define/AddHeader
-		// (or whose AST a previous ReleaseASTs run dropped), so every unit's
-		// artifacts are keyed by current content, and compute the per-file
-		// call-graph facts and semprop summaries of every unit that has none
-		// (new, edited or re-parsed files). A barrier here is required: the
-		// call graph below needs every unit's facts.
-		filesSummarized, fnsSummarized := p.refreshStale(ctx, files, env, workers, opts.ReleaseASTs)
-		if err := ctx.Err(); err != nil {
+	if opts.InterprocDepth > 0 {
+		if err := p.interprocPhases(ctx, files, opts, workers, run, res); err != nil {
 			return nil, err
 		}
+	}
 
-		// Interprocedural mode: build the cross-file call graph and run the
-		// barrier-semantics fixpoint before extraction, so every file's
-		// exploration sees the inferred implicit barriers and can splice callees
-		// across file boundaries. Both phases are project-wide, so they always
-		// run, but over per-file facts and summaries that refreshStale keeps
-		// for unchanged files: only the resolve and the fixpoint are global.
-		// The per-file extract cache stays sound because its keys fold in each
-		// file's dependency-closure hash — a one-file edit re-keys (and so
-		// re-extracts) every transitive caller, and only those.
-		var resolve func(file string) func(string) *cast.FuncDecl
-		var inferredNames map[string]memmodel.BarrierKind
-		var closures map[string]string
-		{
-			_, gsp := obs.Start(ctx, "callgraph")
-			var g *callgraph.Graph
-			var sums []*semprop.Summary
-			if p.seqGlobal {
-				cgf := make([]callgraph.File, 0, len(files))
-				for _, fu := range files {
-					cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
-				}
-				g = callgraph.Build(cgf)
-			} else {
-				facts := make([]*callgraph.Facts, len(files))
-				for i, fu := range files {
-					facts[i] = fu.art.facts
-					sums = append(sums, fu.art.sums...)
-				}
-				g = callgraph.BuildFacts(facts, workers)
-			}
-			res.CallGraph = g.Stats()
-			gsp.Add("functions", int64(res.CallGraph.Functions))
-			gsp.Add("edges", int64(res.CallGraph.Edges))
-			gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
-			gsp.Add("files_summarized", filesSummarized)
-			gsp.End()
-			_, ssp := obs.Start(ctx, "semprop")
-			sopts := semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics}
-			var inf *semprop.Inference
-			if p.seqGlobal {
-				sopts.Sequential = true
-				inf = semprop.Infer(g, sopts)
-			} else {
-				sopts.Workers = workers
-				inf = semprop.InferSummaries(g, sums, sopts)
-			}
-			res.Inferred = inf.Functions()
-			ssp.Add("inferred", int64(len(res.Inferred)))
-			ssp.Add("sccs", int64(inf.Components))
-			ssp.Add("scc_levels", int64(inf.Levels))
-			ssp.Add("fns_summarized", fnsSummarized)
-			ssp.End()
-			inferredNames = inf.NameKinds()
-			resolve = g.ResolverFor
-			if p.seqGlobal {
-				closures = interprocClosures(g.FileDeps(), files)
-			} else {
-				closures = interprocClosuresSCC(g.FileDeps(), files)
-			}
-		}
-
-		// Phase 1: per-file extraction, in parallel. A unit whose artifact
-		// record already carries sites for the wanted key is served in place; a
-		// key found in the shared stage cache (e.g. computed by a clone) is
-		// adopted without running; only genuinely new (file content × options ×
-		// closure) combinations execute.
-		ectx, esp = obs.Start(ctx, "extract")
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
+	// Per-file extraction.
+	ectx, esp := obs.Start(ctx, "extract")
+	phaseStart := time.Now()
+	var busyNS atomic.Int64
+	fanOut(ctx, len(files), workers, func(i int) {
+		start := time.Now()
+		p.extractUnit(ectx, run, files[i])
+		busyNS.Add(int64(time.Since(start)))
+	})
+	if opts.ReleaseASTs && opts.InterprocDepth > 0 {
+		// Extraction is done and the call graph is built: drop every
+		// unit's top-level AST reference — and the facts and summaries
+		// pointing into it — so steady-state residency is sites and
+		// tables, not parse trees. The next interprocedural run's refresh
+		// re-frontends released units.
+		p.mu.Lock()
 		for _, fu := range files {
-			p.mu.Lock()
-			art := fu.art
-			p.mu.Unlock()
-			want := extractKeyFor(fp, fu.Name, art.preHash, closures[fu.Name])
-			if art.sitesKey == want {
-				reused.Add(1)
-				p.mu.Lock()
-				fu.Table, fu.Sites = art.table, art.sites
-				p.mu.Unlock()
-				continue
+			if fu.art != nil && fu.art.ast != nil {
+				fu.art = fu.art.withoutAST()
 			}
-			wg.Add(1)
-			go func(fu *FileUnit, art *artifacts, want rescache.Key) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return // canceled: leave the unit's artifacts as they were
-				}
-				start := time.Now()
-				defer func() { busyNS.Add(int64(time.Since(start))) }()
-				v, hit, _ := extractCache.Do(want, func() (any, error) {
-					recomputed.Add(1)
-					table := p.tableFor(fu.Name, art)
-					aopts := opts.Access
-					aopts.Syms = p.extractSyms()
-					aopts.InferredSemantics = inferredNames
-					aopts.Resolve = resolve(fu.Name)
-					aopts.InterprocDepth = opts.InterprocDepth
-					ex := access.NewExtractor(fu.Name, table, aopts)
-					sites := ex.ExtractFileCtx(ectx, art.ast)
-					return &extractArtifact{table: table, sites: sites}, nil
-				})
-				if hit {
-					reused.Add(1)
-				}
-				ea := v.(*extractArtifact)
-				next := *art
-				next.table, next.sites, next.sitesKey = ea.table, ea.sites, want
-				p.mu.Lock()
-				fu.art = &next
-				fu.Table, fu.Sites = ea.table, ea.sites
-				p.mu.Unlock()
-			}(fu, art, want)
+			fu.AST = nil
 		}
-		wg.Wait()
-		if opts.ReleaseASTs {
-			// Extraction is done and the call graph is built: drop every
-			// unit's top-level AST reference — and the facts and summaries
-			// pointing into it — so steady-state residency is sites and
-			// tables, not parse trees. refreshStale re-frontends released
-			// units on the next interprocedural run.
-			p.mu.Lock()
-			for _, fu := range files {
-				if fu.art != nil && fu.art.ast != nil {
-					fu.art = fu.art.withoutAST()
-				}
-				fu.AST = nil
-			}
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 	}
 	res.Timing.Extract = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
@@ -652,12 +515,12 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.Incremental = IncrementalStats{
 		FilesTotal:      len(files),
-		FilesReused:     int(reused.Load()),
-		FilesRecomputed: int(recomputed.Load()),
+		FilesReused:     int(run.reused.Load()),
+		FilesRecomputed: int(run.recomputed.Load()),
 	}
 	esp.Add("files", int64(len(files)))
-	esp.Add("files_reused", reused.Load())
-	esp.Add("files_recomputed", recomputed.Load())
+	esp.Add("files_reused", run.reused.Load())
+	esp.Add("files_recomputed", run.recomputed.Load())
 	esp.Add("sites", int64(len(res.Sites)))
 	esp.Add("frontend.tokens", frontTokens)
 	esp.Add("frontend.arena_bytes", frontArena)
@@ -665,17 +528,18 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		esp.Add("pipeline.occupancy_pct", busyNS.Load()*100/(int64(wall)*int64(workers)))
 	}
 	esp.End()
+
+	_, dsp := obs.Start(ctx, "dedup")
+	dsp.Add("sites_in", int64(len(res.Sites)))
 	if opts.InterprocDepth > 0 {
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
 		// extraction already does within one file.
-		if p.seqGlobal {
-			res.Sites = dedupSites(res.Sites)
-		} else {
-			res.Sites = dedupSitesSharded(res.Sites, workers)
-		}
+		res.Sites = dedupSites(res.Sites)
 	}
 	sortSites(res.Sites)
+	dsp.Add("sites_out", int64(len(res.Sites)))
+	dsp.End()
 
 	// Phase 2: global pairing (Algorithm 1), sharded over the worker pool
 	// (see pair.go; the result is byte-identical at any worker count).
@@ -714,8 +578,117 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	// Phase 4: confidence ranking (internal/rank). Every finding is scored
 	// from the outlier census, pairing margins, site richness and semantics
 	// provenance; MinConfidence > 0 additionally gates the finding list.
-	p.rankFindings(ctx, res, opts, workers)
+	rankFindings(ctx, res, opts)
 	return res, nil
+}
+
+// interprocPhases runs what interprocedural extraction needs before it can
+// start. First a refresh pass re-runs the front end where a unit needs it
+// (interprocedural analysis needs every parse tree) and computes the
+// call-graph facts and semprop summaries of every unit that has none (new,
+// edited or re-parsed files). That pass is a barrier: the call graph needs
+// every unit's facts. Then the cross-file call graph and the barrier-
+// semantics fixpoint run, so every file's exploration sees the inferred
+// implicit barriers and can splice callees across file boundaries. Both
+// are project-wide, so they always run, but over per-file facts and
+// summaries kept for unchanged files: only the resolve and the fixpoint are
+// global. The per-file extract cache stays sound because its keys fold in
+// each file's dependency-closure hash — a one-file edit re-keys (and so
+// re-extracts) every transitive caller, and only those. It fills run's
+// interprocedural inputs and res's call-graph and inference fields.
+func (p *Project) interprocPhases(ctx context.Context, files []*FileUnit, opts Options, workers int, run *extractRun, res *Result) error {
+	var filesSummarized, fnsSummarized atomic.Int64
+	fanOut(ctx, len(files), workers, func(i int) {
+		fu := files[i]
+		art := p.refreshUnit(ctx, fu, run.env, run.release)
+		if art.facts != nil {
+			return
+		}
+		next := art.withFacts(fu.Name)
+		filesSummarized.Add(1)
+		fnsSummarized.Add(int64(len(next.sums)))
+		p.mu.Lock()
+		fu.art = next
+		p.mu.Unlock()
+	})
+	if err := ctx.Err(); err != nil {
+		return err // canceled: units not reached stay stale, the next Analyze retries
+	}
+
+	// The call graph, with its file-level projection: each file's
+	// dependency-closure hash for the extract keys.
+	_, gsp := obs.Start(ctx, "callgraph")
+	var g *callgraph.Graph
+	var sums []*semprop.Summary
+	if p.seqGlobal {
+		cgf := make([]callgraph.File, 0, len(files))
+		for _, fu := range files {
+			cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
+		}
+		g = callgraph.Build(cgf)
+		run.closures = interprocClosures(g.FileDeps(), files)
+	} else {
+		facts := make([]*callgraph.Facts, len(files))
+		for i, fu := range files {
+			facts[i] = fu.art.facts
+			sums = append(sums, fu.art.sums...)
+		}
+		g = callgraph.BuildFacts(facts)
+		run.closures = interprocClosuresSCC(g.FileDeps(), files)
+	}
+	res.CallGraph = g.Stats()
+	gsp.Add("functions", int64(res.CallGraph.Functions))
+	gsp.Add("edges", int64(res.CallGraph.Edges))
+	gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
+	gsp.Add("files_summarized", filesSummarized.Load())
+	gsp.End()
+
+	_, ssp := obs.Start(ctx, "semprop")
+	sopts := semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics}
+	var inf *semprop.Inference
+	if p.seqGlobal {
+		sopts.Sequential = true
+		inf = semprop.Infer(g, sopts)
+	} else {
+		inf = semprop.InferSummaries(g, sums, sopts)
+	}
+	res.Inferred = inf.Functions()
+	ssp.Add("inferred", int64(len(res.Inferred)))
+	ssp.Add("sccs", int64(inf.Components))
+	ssp.Add("scc_levels", int64(inf.Levels))
+	ssp.Add("fns_summarized", fnsSummarized.Load())
+	ssp.End()
+
+	run.aopts.InferredSemantics = inf.NameKinds()
+	run.aopts.InterprocDepth = opts.InterprocDepth
+	run.resolve = g.ResolverFor
+	return nil
+}
+
+// fanOut runs f over [0, n) on at most workers goroutines, handing out
+// indices in order and stopping once ctx is canceled (indices not yet
+// started are skipped). Iterations must be independent; completion is a
+// barrier.
+func fanOut(ctx context.Context, n, workers int, f func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // dedupSites collapses sites with the same canonical barrier identity,
@@ -738,89 +711,6 @@ func dedupSites(sites []*access.Site) []*access.Site {
 	out := make([]*access.Site, 0, len(order))
 	for _, id := range order {
 		out = append(out, best[id])
-	}
-	return out
-}
-
-// dedupSitesSharded is dedupSites sharded over the worker pool for
-// tree-scale site lists. Sites are sharded by a hash of their canonical
-// barrier identity, so every occurrence of one physical barrier lands in
-// one shard; each shard scans its sites in ascending input order keeping
-// the richest view (first seen wins ties — dedupSites' exact rule) along
-// with the input index of the identity's first occurrence, and the merge
-// re-sorts winners by that first index. The output is therefore the byte-
-// identical site list dedupSites produces, at any worker count.
-func dedupSitesSharded(sites []*access.Site, workers int) []*access.Site {
-	if workers > 16 {
-		workers = 16
-	}
-	if workers <= 1 || len(sites) < 64 {
-		return dedupSites(sites)
-	}
-	// Phase 1: canonical IDs and shard assignment, computed once per site
-	// (ID() canonicalization is the hot part of dedup at tree scale).
-	ids := make([]string, len(sites))
-	shard := make([]uint8, len(sites))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(sites); i += workers {
-				id := sites[i].ID()
-				h := uint32(2166136261)
-				for j := 0; j < len(id); j++ {
-					h ^= uint32(id[j])
-					h *= 16777619
-				}
-				ids[i] = id
-				shard[i] = uint8(h % uint32(workers))
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 2: per-shard keep-richest over that shard's identities.
-	type kept struct {
-		site  *access.Site
-		first int
-	}
-	perShard := make([][]*kept, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			best := map[string]*kept{}
-			var order []*kept
-			for i, s := range sites {
-				if int(shard[i]) != w {
-					continue
-				}
-				cur, ok := best[ids[i]]
-				if !ok {
-					k := &kept{site: s, first: i}
-					best[ids[i]] = k
-					order = append(order, k)
-					continue
-				}
-				if s.Richness() > cur.site.Richness() {
-					cur.site = s
-				}
-			}
-			perShard[w] = order
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 3: merge by first-occurrence index — dedupSites' output order.
-	var all []*kept
-	for _, sh := range perShard {
-		all = append(all, sh...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].first < all[j].first })
-	out := make([]*access.Site, len(all))
-	for i, k := range all {
-		out[i] = k.site
 	}
 	return out
 }

@@ -138,7 +138,13 @@ func newPairer(sites []*access.Site, opts Options) *pairer {
 	keep := func(o access.Object) bool { return !generic[o.Struct] }
 
 	pr.in = access.InternSites(sites)
-	pr.forEachSite(func(i int) {
+	// Per-site views, fanned over the workers for large site sets. Each
+	// index is written by exactly one goroutine, so the result is
+	// independent of scheduling.
+	if len(sites) < 64 {
+		workers = 1
+	}
+	fanOut(context.Background(), len(sites), workers, func(i int) {
 		s := sites[i]
 		pr.siteObjs[i] = pr.in.ObjDists(s, keep)
 		pr.beforeIDs[i] = pr.in.SideIDs(s.Before)
@@ -169,39 +175,6 @@ func newPairer(sites []*access.Site, opts Options) *pairer {
 		}
 	}
 	return pr
-}
-
-// forEachSite fans an index-addressed per-site builder out over the worker
-// pool. Each index is written by exactly one goroutine, so the result is
-// independent of scheduling.
-func (pr *pairer) forEachSite(fn func(i int)) {
-	n := len(pr.sites)
-	if pr.workers <= 1 || n < 64 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int32 = -1
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < pr.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				next++
-				i := int(next)
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // isWriteSide reports whether the site plays the write-barrier role.

@@ -23,19 +23,13 @@ import (
 //   - whether the ordering rests on interprocedurally inferred semantics
 //     (the site's own barrier name, or — for unneeded-barrier findings —
 //     the following call the finding trusts to provide the ordering).
-func (p *Project) rankFindings(ctx context.Context, res *Result, opts Options, workers int) {
+func rankFindings(ctx context.Context, res *Result, opts Options) {
 	_, rsp := obs.Start(ctx, "rank")
 	defer rsp.End()
 	if len(res.Findings) == 0 {
 		return
 	}
-	var idx *rank.Index
-	if p.seqGlobal {
-		idx = rank.BuildIndex(res.Sites)
-	} else {
-		// Sharded census: byte-identical Index at any worker count.
-		idx = rank.BuildIndexParallel(res.Sites, workers)
-	}
+	idx := rank.BuildIndex(res.Sites)
 	inferredOnly := semprop.InferredOnly(res.Inferred)
 	for _, f := range res.Findings {
 		f.Confidence = rank.Combine(evidenceFor(f, idx, res.PairStats.Margins, inferredOnly))

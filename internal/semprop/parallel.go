@@ -17,10 +17,9 @@
 // evaluations; kernel-style wrapper stacks make D hundreds deep).
 // Recursive components iterate locally to their own fixpoint — bounded by
 // 2·|component|+1 tiny rounds — without dragging the rest of the graph
-// along. Components that share a topological level cannot reach each other
-// in either direction, so they evaluate concurrently; kinds live in a
-// dense slice where distinct elements are distinct memory locations and
-// level barriers provide the cross-level happens-before.
+// along. The components run on one goroutine, in SCCs() order: on a
+// 2,048-file tree, running each topological level's components
+// concurrently measured no faster on two CPUs.
 package semprop
 
 import (
@@ -33,17 +32,17 @@ import (
 
 // inferSCC runs the condensation-scheduled fixpoint over the bound infos,
 // filling kinds (indexed like g.Nodes) and inf's schedule counters.
-func inferSCC(g *callgraph.Graph, opts Options, infos []*fnInfo, inf *Inference) {
-	workers := workersOf(opts)
+func inferSCC(g *callgraph.Graph, infos []*fnInfo, inf *Inference) {
 	n := len(g.Nodes)
 	inf.Converged = true
 	if n == 0 {
 		return
 	}
 
-	// Condense and level the component DAG. SCCs() returns components in
-	// reverse topological order, so every cross-component callee has a
-	// smaller component index and one ascending pass computes levels.
+	// SCCs() returns components in reverse topological order, so every
+	// cross-component callee has a smaller component index: one ascending
+	// pass evaluates each component after its callees and computes the
+	// depth of the condensation's topological levelling.
 	comps := g.SCCs()
 	compOf := make([]int32, n)
 	for ci, comp := range comps {
@@ -62,37 +61,16 @@ func inferSCC(g *callgraph.Graph, opts Options, infos []*fnInfo, inf *Inference)
 				}
 			}
 		}
-		if level[ci] > maxLevel {
-			maxLevel = level[ci]
-		}
+		maxLevel = max(maxLevel, level[ci])
+		inf.Rounds = max(inf.Rounds, evalComp(comp, infos, inf.kinds))
 	}
-	byLevel := make([][]int, maxLevel+1)
-	for ci := range comps {
-		byLevel[level[ci]] = append(byLevel[level[ci]], ci)
-	}
-
-	var maxRounds atomic.Int64
-	for _, compIDs := range byLevel {
-		fanOut(len(compIDs), workers, func(i int) {
-			r := int64(evalComp(comps[compIDs[i]], infos, inf.kinds))
-			for {
-				cur := maxRounds.Load()
-				if r <= cur || maxRounds.CompareAndSwap(cur, r) {
-					break
-				}
-			}
-		})
-	}
-
-	inf.Rounds = int(maxRounds.Load())
 	inf.Components = len(comps)
 	inf.Levels = int(maxLevel) + 1
 }
 
 // evalComp evaluates one component to its local fixpoint, returning the
-// local round count. Callee kinds outside the component are final (lower
-// levels completed behind a barrier); kinds inside it are owned by this
-// goroutine only.
+// local round count. Callee kinds outside the component are final: their
+// components came earlier in SCCs() order.
 func evalComp(comp []*callgraph.Node, infos []*fnInfo, kinds []memmodel.BarrierKind) int {
 	if len(comp) == 1 && !callsSelf(comp[0]) {
 		i := comp[0].Index()

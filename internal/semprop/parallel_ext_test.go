@@ -148,12 +148,12 @@ func TestInferSummariesOverFacts(t *testing.T) {
 		sums = append(sums, semprop.SummarizeFile(fc)...)
 	}
 	oracle := callgraph.Build(cgf)
-	g := callgraph.BuildFacts(facts, 3)
+	g := callgraph.BuildFacts(facts)
 
 	differs := false
 	for _, extra := range [][]string{nil, {"custom_fence"}, nil} {
 		want := semprop.Infer(oracle, semprop.Options{ExtraFull: extra, Sequential: true})
-		got := semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extra, Workers: 3})
+		got := semprop.InferSummaries(g, sums, semprop.Options{ExtraFull: extra})
 		for i, n := range g.Nodes {
 			if got.Kind(n) != want.Kind(oracle.Nodes[i]) {
 				t.Errorf("extra=%v: %s/%s: %v vs oracle %v", extra, n.File, n.Name(), got.Kind(n), want.Kind(oracle.Nodes[i]))

@@ -93,7 +93,8 @@ type Options struct {
 	// global round-robin schedule (the SCC schedule has no meaningful
 	// global round count to bound).
 	MaxRounds int
-	// Workers bounds the SCC schedule's parallelism (0 = GOMAXPROCS).
+	// Workers bounds Infer's per-function summary fan-out (0 =
+	// GOMAXPROCS). The fixpoint itself runs on one goroutine.
 	Workers int
 	// Sequential forces the legacy whole-graph round-robin fixpoint. The
 	// differential tests and the tree-scale benchmark use it as the
@@ -292,8 +293,12 @@ type fnInfo struct {
 // Infer runs the interprocedural fixpoint over g, summarizing every
 // function from its AST. See InferSummaries.
 func Infer(g *callgraph.Graph, opts Options) *Inference {
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	sums := make([]*Summary, len(g.Nodes))
-	fanOut(len(g.Nodes), workersOf(opts), func(i int) { sums[i] = Summarize(g.Nodes[i].Fn) })
+	fanOut(len(g.Nodes), workers, func(i int) { sums[i] = Summarize(g.Nodes[i].Fn) })
 	return InferSummaries(g, sums, opts)
 }
 
@@ -301,8 +306,7 @@ func Infer(g *callgraph.Graph, opts Options) *Inference {
 // summaries, sums[i] being g.Nodes[i]'s. By default the fixpoint is
 // scheduled over the Tarjan condensation (see parallel.go): each strongly
 // connected component is evaluated to its local fixpoint exactly once, in
-// topological order, with independent components of a level running
-// concurrently. Setting Options.Sequential — or bounding Options.MaxRounds,
+// topological order. Setting Options.Sequential — or bounding Options.MaxRounds,
 // which only means something for global rounds — runs the legacy
 // whole-graph round-robin instead. Both reach the same least fixpoint: the
 // transfer function is monotone over a finite lattice, so chaotic iteration
@@ -320,23 +324,16 @@ func InferSummaries(g *callgraph.Graph, sums []*Summary, opts Options) *Inferenc
 		extra[name] = true
 	}
 	infos := make([]*fnInfo, len(g.Nodes))
-	fanOut(len(g.Nodes), workersOf(opts), func(i int) {
-		infos[i] = bind(g.Nodes[i], sums[i], extra)
-	})
+	for i, n := range g.Nodes {
+		infos[i] = bind(n, sums[i], extra)
+	}
 	inf := &Inference{Graph: g, kinds: make([]memmodel.BarrierKind, len(g.Nodes))} // ⊥ = None
 	if opts.Sequential || opts.MaxRounds > 0 {
 		inferRounds(opts, infos, inf)
 	} else {
-		inferSCC(g, opts, infos, inf)
+		inferSCC(g, infos, inf)
 	}
 	return inf
-}
-
-func workersOf(opts Options) int {
-	if opts.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return opts.Workers
 }
 
 // bind splits each block's barrier contribution into the static part
