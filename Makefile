@@ -21,10 +21,12 @@ lint: vet
 	$(GO) test . -run TestDocs
 
 # Short fuzz passes: the parser robustness target (no panics, no hangs) and
-# the header-memo differential (memoized and fresh preprocessing agree).
+# the two header-memo differentials (memoized and fresh preprocessing
+# agree; shared and fresh header parses agree).
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocessMemo -fuzztime 30s
+	$(GO) test ./internal/cparser/ -run '^$$' -fuzz FuzzParseMemo -fuzztime 30s
 
 test:
 	$(GO) test ./...

@@ -42,3 +42,35 @@ func FuzzParseSource(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseMemo is the header-parse memo's differential: for arbitrary
+// header and includer bytes, every parse through a shared header memo —
+// the miss that stores (or rejects) the header's parse and the hits that
+// replay it — equals a fresh parse of the same tokens.
+func FuzzParseMemo(f *testing.F) {
+	f.Add("struct s { int a; };\ntypedef int hint;\n", "", "hint x;\n")
+	f.Add("struct half {\n\tint a;\n", "", "\tint b;\n};\n")
+	f.Add("struct s { int a; }\n", "int y;\n", ";\nint x;\n")
+	f.Add("myint *p;\n", "typedef int myint;\n", "myint q;\n")
+	f.Add("int = ;\nint = ;\n", "int = ;\n", "int ok;\n")
+	f.Add("#ifdef A\nint a;\n#else\nlong b;\n#endif\n", "#define A 1\n", "void f(void) { a = 1; }\n")
+	f.Add("static inline void w(int *p) { smp_wmb(); *p = 1; }\n", "", "void g(int *p) { w(p); }\n")
+	f.Fuzz(func(t *testing.T, header, before, after string) {
+		// Macro expansion is exponential in the nesting depth, so the
+		// inputs stay small and the depth bound low (as in
+		// FuzzPreprocessMemo).
+		if len(header)+len(before)+len(after) > 1<<10 {
+			t.Skip()
+		}
+		opts := cpp.Options{Include: map[string]string{"h.h": header}, MaxExpansionDepth: 2, Memo: cpp.NewMemo(nil)}
+		hm := cparser.NewHeaderMemo()
+		inc := "\n#include \"h.h\"\n"
+		for pass := 0; pass < 2; pass++ {
+			for _, src := range []string{before + inc + after, inc + after + inc} {
+				if _, _, err := checkShared("fuzz.c", cpp.Preprocess("fuzz.c", src, opts), hm); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+			}
+		}
+	})
+}

@@ -13,6 +13,7 @@ package cparser
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"ofence/internal/cast"
@@ -36,6 +37,20 @@ type Parser struct {
 	// the arena parser sets base and consults the shared kernelTypedefSet.
 	typedefs map[string]bool
 	base     bool
+
+	// memo and spans share header parses (memo.go): spans are the
+	// memoized header ranges of toks, nextSpan the first one not yet
+	// reached. tdHash is the set hash of the typedefs map, kept while memo
+	// is set; tdLog, when non-nil, logs the typedef names a span parse
+	// declares; past records a read beyond the end of toks.
+	memo         *HeaderMemo
+	spans        []cpp.Span
+	nextSpan     int
+	tdHash       [2]uint64
+	tdLog        []string
+	past         bool
+	declsShared  int64
+	tokensShared int64
 }
 
 // kernelTypedefs are typedef names assumed known even when their defining
@@ -64,9 +79,11 @@ var kernelTypedefSet = func() map[string]bool {
 // New returns a parser over a preprocessed token stream. AST nodes are
 // batch-allocated from a per-parser arena, and the kernel typedef seed is
 // consulted via the shared set (the typedefs map is created lazily on the
-// first typedef declaration).
-func New(toks []ctoken.Token) *Parser {
-	return &Parser{toks: toks, arena: new(cast.Arena), base: true}
+// first typedef declaration). With a non-nil hm, the declarations of the
+// memoized header ranges spans (cpp.Result.Spans of toks) are shared
+// through hm instead of being parsed into this file's arena.
+func New(toks []ctoken.Token, spans []cpp.Span, hm *HeaderMemo) *Parser {
+	return &Parser{toks: toks, arena: new(cast.Arena), base: true, memo: hm, spans: spans}
 }
 
 // NewNoArena returns the hot-path parser with per-node heap allocation
@@ -75,12 +92,13 @@ func New(toks []ctoken.Token) *Parser {
 // dropped after extraction (while its barrier sites keep pointers to a
 // few of its nodes) must be individually collectable for the drop to
 // actually free memory.
-func NewNoArena(toks []ctoken.Token) *Parser {
-	return &Parser{toks: toks, base: true}
+func NewNoArena(toks []ctoken.Token, spans []cpp.Span, hm *HeaderMemo) *Parser {
+	return &Parser{toks: toks, base: true, memo: hm, spans: spans}
 }
 
 // NewLegacy returns a parser that heap-allocates every node individually —
-// the pre-arena behavior, kept as the differential and benchmark oracle.
+// the pre-arena behavior, kept as the differential and benchmark oracle. It
+// never shares header parses.
 func NewLegacy(toks []ctoken.Token) *Parser {
 	p := &Parser{toks: toks, typedefs: map[string]bool{}}
 	for _, n := range kernelTypedefs {
@@ -94,10 +112,18 @@ func (p *Parser) isTypedef(name string) bool {
 	return p.typedefs[name] || (p.base && kernelTypedefSet[name])
 }
 
-// addTypedef records a typedef declaration.
+// addTypedef records a typedef declaration, keeping the typedef-set hash
+// and the span log current when the parse shares header parses.
 func (p *Parser) addTypedef(name string) {
 	if p.typedefs == nil {
 		p.typedefs = make(map[string]bool, 8)
+	}
+	if p.memo != nil && !p.typedefs[name] {
+		p.tdHash[0] ^= maphash.String(typedefSeeds[0], name)
+		p.tdHash[1] ^= maphash.String(typedefSeeds[1], name)
+		if p.tdLog != nil {
+			p.tdLog = append(p.tdLog, name)
+		}
 	}
 	p.typedefs[name] = true
 }
@@ -120,7 +146,7 @@ func ParseSourceCtx(ctx context.Context, file, src string, opts cpp.Options) (*c
 	defer sp.End()
 	sp.SetAttr("file", file)
 	res := cpp.PreprocessCtx(ctx, file, src, opts)
-	p := New(res.Tokens)
+	p := New(res.Tokens, nil, nil)
 	f := p.ParseFile(file)
 	errs := append(res.Errors, p.errs...)
 	sp.Add("tokens", int64(len(res.Tokens)))
@@ -145,7 +171,7 @@ func ParseTokensMetered(ctx context.Context, file string, pre *cpp.Result) (*cas
 	_, sp := obs.Start(ctx, "parse")
 	defer sp.End()
 	sp.SetAttr("file", file)
-	p := New(pre.Tokens)
+	p := New(pre.Tokens, nil, nil)
 	f := p.ParseFile(file)
 	errs := append(append([]error{}, pre.Errors...), p.errs...)
 	sp.Add("tokens", int64(len(pre.Tokens)))
@@ -159,13 +185,14 @@ func ParseTokensMetered(ctx context.Context, file string, pre *cpp.Result) (*cas
 func (p *Parser) Errors() []error { return p.errs }
 
 func (p *Parser) errorf(pos ctoken.Position, format string, args ...any) {
-	if len(p.errs) < 100 {
+	if len(p.errs) < maxErrors {
 		p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 	}
 }
 
 func (p *Parser) cur() ctoken.Token {
 	if p.i >= len(p.toks) {
+		p.past = true
 		return ctoken.Token{Kind: ctoken.EOF}
 	}
 	return p.toks[p.i]
@@ -173,6 +200,7 @@ func (p *Parser) cur() ctoken.Token {
 
 func (p *Parser) peekAt(n int) ctoken.Token {
 	if p.i+n >= len(p.toks) {
+		p.past = true
 		return ctoken.Token{Kind: ctoken.EOF}
 	}
 	return p.toks[p.i+n]
@@ -198,6 +226,7 @@ func (p *Parser) advance() {
 // place instead of copying it (a Token is 56 bytes).
 func (p *Parser) at(k ctoken.Kind) bool {
 	if p.i >= len(p.toks) {
+		p.past = true
 		return k == ctoken.EOF
 	}
 	return p.toks[p.i].Kind == k
@@ -205,6 +234,7 @@ func (p *Parser) at(k ctoken.Kind) bool {
 
 func (p *Parser) atKeyword(kw string) bool {
 	if p.i >= len(p.toks) {
+		p.past = true
 		return false
 	}
 	t := &p.toks[p.i]
@@ -277,18 +307,41 @@ func (p *Parser) ParseFile(name string) *cast.File {
 		f.Decls = make([]cast.Decl, 0, 32)
 	}
 	for !p.at(ctoken.EOF) {
-		before := p.i
-		d := p.parseTopDecl()
-		if d != nil {
-			f.Decls = append(f.Decls, d)
+		if p.memo != nil {
+			if s, ok := p.atSpan(); ok && p.shareSpan(f, s) {
+				continue
+			}
 		}
-		if p.i == before {
-			// No progress: skip one token to guarantee termination.
-			p.errorf(p.cur().Pos, "unexpected token %v at top level", p.cur())
-			p.advance()
+		if d := p.topDecl(); d != nil {
+			f.Decls = append(f.Decls, d)
 		}
 	}
 	return f
+}
+
+// topDecl parses one top-level declaration and guarantees progress: when
+// the parse consumes nothing, one token is skipped with an error.
+func (p *Parser) topDecl() cast.Decl {
+	before := p.i
+	d := p.parseTopDecl()
+	if p.i == before {
+		p.errorf(p.cur().Pos, "unexpected token %v at top level", p.cur())
+		p.advance()
+	}
+	return d
+}
+
+// atSpan returns the memoized header span starting at p.i, if any,
+// skipping the spans the parse entered mid-declaration.
+func (p *Parser) atSpan() (cpp.Span, bool) {
+	for p.nextSpan < len(p.spans) && p.spans[p.nextSpan].Start < p.i {
+		p.nextSpan++
+	}
+	if p.nextSpan < len(p.spans) && p.spans[p.nextSpan].Start == p.i {
+		p.nextSpan++
+		return p.spans[p.nextSpan-1], true
+	}
+	return cpp.Span{}, false
 }
 
 // parseTopDecl parses one top-level declaration: typedef, struct/union/enum

@@ -716,7 +716,7 @@ func TestParseStringAndCharLiterals(t *testing.T) {
 }
 
 func TestParseErrorsAccessor(t *testing.T) {
-	p := New(nil)
+	p := New(nil, nil, nil)
 	if len(p.Errors()) != 0 {
 		t.Error("fresh parser has errors")
 	}

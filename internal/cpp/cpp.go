@@ -69,6 +69,10 @@ type Result struct {
 	Errors []error
 	// Macros is the final macro table, useful for tests and tooling.
 	Macros map[string]*Macro
+	// Spans are the outermost includes of the main file served by the
+	// memo — recorded into it or replayed from it — in token order (nil
+	// without Options.Memo). The parser shares header parses through them.
+	Spans []Span
 
 	// fp/fpFile memoize Fingerprint for the file the run was attributed to:
 	// the digest is streamed while tokens are emitted, so the usual caller
@@ -170,11 +174,13 @@ type preprocessor struct {
 	state [2]uint64
 	// memo, recs, touched and seen drive header memoization (memo.go):
 	// the headers being recorded, innermost last, and the macro names and
-	// files logged while any recording is open.
+	// files logged while any recording is open. spans are the memo-backed
+	// includes emitted so far (Result.Spans).
 	memo     *Memo
 	recs     []recording
 	touched  []string
 	seen     []string
+	spans    []Span
 	replayed int
 	expanded int
 
@@ -375,8 +381,8 @@ func preprocess(file, src string, opts Options) *Result {
 		toks = append([]ctoken.Token(nil), p.out...)
 		clear(p.out) // drop the pooled buffer's references into this file's sources
 	}
-	res := &Result{Tokens: toks, Errors: p.errs, Macros: p.macros, legacy: opts.LegacyLexer,
-		replayed: p.replayed, expanded: p.expanded}
+	res := &Result{Tokens: toks, Errors: p.errs, Macros: p.macros, Spans: p.spans,
+		legacy: opts.LegacyLexer, replayed: p.replayed, expanded: p.expanded}
 	if p.h != nil {
 		for _, err := range p.errs {
 			p.flushHash()

@@ -1,6 +1,7 @@
 package cpp
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/maphash"
 	"math"
@@ -57,6 +58,39 @@ type memoEntry struct {
 	pre   []byte       // the fingerprint preimage of toks, as hashTok wrote it
 	delta []macroDelta // net macro changes; nil m means #undef
 	files []string     // the header and every file it transitively expanded
+	// key is the entry's content address (see SpanKey), set before the
+	// entry is stored.
+	key SpanKey
+}
+
+// SpanKey is the content address of a memoized header expansion: the
+// SHA-256 of its fingerprint preimage (every token's text and position)
+// followed by every token's kind. Two expansions with the same key emit the
+// same tokens, so the parse of one is the parse of the other. It is a
+// digest, not a pointer, so it is the same in every process and survives
+// serialization of a Result.
+type SpanKey [sha256.Size]byte
+
+// Span is one include of the main file whose expansion came from the memo:
+// Tokens[Start:End] is the recorded or replayed expansion of an entry with
+// content address Key. Only outermost spans are listed — a memo-backed
+// include nested in another is covered by the enclosing span.
+type Span struct {
+	Start, End int
+	Key        SpanKey
+}
+
+func spanKeyOf(pre []byte, toks []ctoken.Token) SpanKey {
+	h := sha256.New()
+	h.Write(pre)
+	kinds := make([]byte, len(toks))
+	for i, t := range toks {
+		kinds[i] = byte(t.Kind)
+	}
+	h.Write(kinds)
+	var k SpanKey
+	h.Sum(k[:0])
+	return k
 }
 
 type macroDelta struct {
@@ -74,15 +108,20 @@ func (m *Memo) lookup(k memoKey) *memoEntry {
 }
 
 // store keeps e under k unless k is already stored or e does not fit
-// under MemoMaxCost.
-func (m *Memo) store(k memoKey, e *memoEntry) {
+// under MemoMaxCost. It returns the entry stored under k afterwards: e,
+// the one stored first, or nil.
+func (m *Memo) store(k memoKey, e *memoEntry) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.entries[k]; ok || m.cost+e.cost() > MemoMaxCost {
-		return
+	if old, ok := m.entries[k]; ok {
+		return old
+	}
+	if m.cost+e.cost() > MemoMaxCost {
+		return nil
 	}
 	m.entries[k] = e
 	m.cost += e.cost()
+	return e
 }
 
 // define returns the -D macro name=body, built once per memo while it fits
@@ -193,7 +232,9 @@ func (p *preprocessor) includeFile(path, src string) {
 	key := memoKey{path: path, state: p.state, maxDepth: p.opts.MaxExpansionDepth}
 	e := p.memo.lookup(key)
 	if e != nil && p.replayable(e) {
+		start := len(p.out)
 		p.replay(e)
+		p.addSpan(start, e)
 		return
 	}
 	if _, on := p.includes[path]; on || e != nil {
@@ -212,18 +253,35 @@ func (p *preprocessor) includeFile(path, src string) {
 	r := p.recs[len(p.recs)-1]
 	p.recs = p.recs[:len(p.recs)-1]
 	if !r.poisoned {
-		p.memo.store(key, &memoEntry{
+		e := &memoEntry{
 			toks:  append([]ctoken.Token(nil), p.out[r.out:]...),
 			errs:  append([]error(nil), p.errs[r.errs:]...),
 			pre:   append([]byte(nil), p.hbuf[r.pre:]...),
 			delta: p.deltaSince(r.touched),
 			files: uniq(p.seen[r.seen:]),
-		})
+		}
+		e.key = spanKeyOf(e.pre, e.toks)
+		if e = p.memo.store(key, e); e != nil {
+			p.addSpan(r.out, e)
+		}
 	}
 	if len(p.recs) == 0 {
 		p.hflush = hashFlushAt
 		p.touched, p.seen = p.touched[:0], p.seen[:0]
 	}
+}
+
+// addSpan records that p.out[start:] is the expansion of e, replacing the
+// spans nested in it. Empty expansions are not recorded.
+func (p *preprocessor) addSpan(start int, e *memoEntry) {
+	if start == len(p.out) {
+		return
+	}
+	n := len(p.spans)
+	for n > 0 && p.spans[n-1].Start >= start {
+		n--
+	}
+	p.spans = append(p.spans[:n], Span{Start: start, End: len(p.out), Key: e.key})
 }
 
 // replayable reports whether none of e's files is on the include stack.

@@ -3,6 +3,7 @@ package ofence
 import (
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cparser"
 	"ofence/internal/cpp"
 	"ofence/internal/semprop"
 )
@@ -107,3 +108,7 @@ func (p *Project) PreHashesForTest() map[string]string {
 // MemoForTest returns the header memo of the project's current
 // environment.
 func (p *Project) MemoForTest() *cpp.Memo { return p.envSnapshot().memo }
+
+// ParsesForTest returns the header-parse memo of the project's current
+// environment.
+func (p *Project) ParsesForTest() *cparser.HeaderMemo { return p.envSnapshot().parses }

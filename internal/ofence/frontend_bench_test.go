@@ -47,7 +47,7 @@ func frontendNew(srcs []ofence.SourceFile) int {
 	for _, sf := range srcs {
 		pre := cpp.Preprocess(sf.Name, sf.Src, cpp.Options{Syms: syms})
 		pre.Fingerprint(sf.Name)
-		f := cparser.New(pre.Tokens).ParseFile(sf.Name)
+		f := cparser.New(pre.Tokens, nil, nil).ParseFile(sf.Name)
 		nodes += len(f.Decls)
 	}
 	return nodes

@@ -121,8 +121,12 @@ type preArtifact struct {
 type parseArtifact struct {
 	ast  *cast.File
 	errs []error
-	// arenaBytes is the AST arena footprint of the parse that built ast.
+	// arenaBytes is the AST arena footprint of the parse that built ast;
+	// the declarations it took from the header-parse memo are not counted.
 	arenaBytes int64
+	// declsShared and tokensShared count what the parse took from the
+	// header-parse memo (cparser.Parser.Shared).
+	declsShared, tokensShared int64
 }
 
 // extractArtifact is the extract-stage cache value.
@@ -137,8 +141,10 @@ type projectEnv struct {
 	defines map[string]string
 	hash    string
 	// memo shares header expansions between every file preprocessed under
-	// this environment (see cpp.Memo).
-	memo *cpp.Memo
+	// this environment (see cpp.Memo), parses the parses of those headers
+	// (see cparser.HeaderMemo).
+	memo   *cpp.Memo
+	parses *cparser.HeaderMemo
 }
 
 // envSnapshot copies the headers/defines under the lock and returns them
@@ -157,13 +163,14 @@ func (p *Project) envSnapshot() projectEnv {
 		p.envHash = string(rescache.KeyOf("env-v1", parts...))
 	}
 	if p.memo == nil || p.memoEnv != p.envHash {
-		p.memo, p.memoEnv = cpp.NewMemo(p.syms), p.envHash
+		p.memo, p.parses, p.memoEnv = cpp.NewMemo(p.syms), cparser.NewHeaderMemo(), p.envHash
 	}
 	env := projectEnv{
 		include: make(map[string]string, len(p.headers)),
 		defines: make(map[string]string, len(p.defines)),
 		hash:    p.envHash,
 		memo:    p.memo,
+		parses:  p.parses,
 	}
 	for k, v := range p.headers {
 		env.include[k] = v
@@ -205,16 +212,18 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	}
 	parse := func(pa *preArtifact) (any, error) {
-		psr := cparser.New(pa.pre.Tokens)
+		psr := cparser.New(pa.pre.Tokens, pa.pre.Spans, env.parses)
 		if !cached {
-			psr = cparser.NewNoArena(pa.pre.Tokens)
+			psr = cparser.NewNoArena(pa.pre.Tokens, pa.pre.Spans, env.parses)
 		}
 		if p.legacyFrontend {
 			psr = cparser.NewLegacy(pa.pre.Tokens)
 		}
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
-		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}, nil
+		ba := &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}
+		ba.declsShared, ba.tokensShared = psr.Shared()
+		return ba, nil
 	}
 
 	var v, pv any
@@ -232,6 +241,8 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
 		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
 		wrapSpan.Add("errors", int64(len(ba.errs)))
+		wrapSpan.Add("decls_shared", ba.declsShared)
+		wrapSpan.Add("tokens_shared", ba.tokensShared)
 		wrapSpan.End()
 	}
 	return &artifacts{

@@ -21,6 +21,7 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cparser"
 	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
@@ -124,9 +125,11 @@ type Project struct {
 	// envHash caches the content hash of headers+defines; "" means
 	// recompute (AddHeader/Define reset it).
 	envHash string
-	// memo is the header memo of the environment hashed memoEnv; a new
-	// one replaces it when the environment changes. Shared with clones.
+	// memo and parses are the header expansion and header parse memos of
+	// the environment hashed memoEnv; new ones replace them when the
+	// environment changes. Shared with clones.
 	memo    *cpp.Memo
+	parses  *cparser.HeaderMemo
 	memoEnv string
 	// stages holds the content-addressed per-file artifact caches, shared
 	// with clones so equal work is never redone.
@@ -285,6 +288,7 @@ func (p *Project) Clone() *Project {
 		files:   make([]*FileUnit, 0, len(p.files)),
 		envHash: p.envHash,
 		memo:    p.memo,
+		parses:  p.parses,
 		memoEnv: p.memoEnv,
 		stages:  p.stages,
 		syms:    p.syms,

@@ -22,11 +22,15 @@ import (
 // strings: every consumer downstream (parse-stage diagnostics, the result's
 // parse_errors) only ever reads err.Error(), so the round trip is lossless
 // where it matters. Macros are dropped — nothing after preprocessing
-// reads them.
+// reads them. Spans travel so a store-served token stream still shares
+// header parses (their keys are content digests, equal in every process);
+// a blob written before they existed decodes with none, which only costs
+// the sharing.
 type preBlob struct {
 	Hash   string
 	Tokens []ctoken.Token
 	Errors []string
+	Spans  []cpp.Span
 }
 
 func encodePreArtifact(v any) ([]byte, error) {
@@ -34,7 +38,7 @@ func encodePreArtifact(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("stagecodec: unexpected preprocess value %T", v)
 	}
-	blob := preBlob{Hash: pa.hash, Tokens: pa.pre.Tokens}
+	blob := preBlob{Hash: pa.hash, Tokens: pa.pre.Tokens, Spans: pa.pre.Spans}
 	for _, err := range pa.pre.Errors {
 		blob.Errors = append(blob.Errors, err.Error())
 	}
@@ -53,7 +57,7 @@ func decodePreArtifact(data []byte) (any, error) {
 	if blob.Hash == "" {
 		return nil, fmt.Errorf("stagecodec: preprocess blob missing hash")
 	}
-	pre := &cpp.Result{Tokens: blob.Tokens}
+	pre := &cpp.Result{Tokens: blob.Tokens, Spans: blob.Spans}
 	for _, msg := range blob.Errors {
 		pre.Errors = append(pre.Errors, errors.New(msg))
 	}

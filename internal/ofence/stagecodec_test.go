@@ -1,10 +1,17 @@
 package ofence
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"ofence/internal/cast"
+	"ofence/internal/cparser"
+	"ofence/internal/cpp"
+	"ofence/internal/ctoken"
 	"ofence/internal/rescache"
 )
 
@@ -110,6 +117,72 @@ func TestPreprocessCodecErrorStrings(t *testing.T) {
 	for i := range fu1.Errs {
 		if fu1.Errs[i].Error() != fu2.Errs[i].Error() {
 			t.Fatalf("error %d diverged: %q vs %q", i, fu1.Errs[i], fu2.Errs[i])
+		}
+	}
+}
+
+// TestPreprocessCodecKeepsSpans: the preprocess blob carries the memoized
+// header spans, so a store-served token stream still shares header parses,
+// and a blob written before spans existed still decodes and parses
+// identically (it only shares nothing).
+func TestPreprocessCodecKeepsSpans(t *testing.T) {
+	p := NewProject()
+	p.AddHeader("s.h", "struct s { int a; };\ntypedef int sint;\nint g;\n")
+	const src = "#include \"s.h\"\nsint x;\nvoid f(struct s *p) { p->a = x; }\n"
+	pre := cpp.Preprocess("a.c", src, p.cppOptions(p.envSnapshot()))
+	if len(pre.Spans) != 1 {
+		t.Fatalf("spans = %v, want the header's", pre.Spans)
+	}
+	pa := &preArtifact{pre: pre, hash: pre.Fingerprint("a.c")}
+	data, err := encodePreArtifact(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decodePreArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*preArtifact)
+	if got.hash != pa.hash || !reflect.DeepEqual(got.pre.Spans, pre.Spans) || !reflect.DeepEqual(got.pre.Tokens, pre.Tokens) {
+		t.Fatalf("round trip lost the artifact: spans %v, want %v", got.pre.Spans, pre.Spans)
+	}
+
+	// The blob as it was before spans: same field names, no Spans.
+	type oldPreBlob struct {
+		Hash   string
+		Tokens []ctoken.Token
+		Errors []string
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&oldPreBlob{Hash: pa.hash, Tokens: pre.Tokens}); err != nil {
+		t.Fatal(err)
+	}
+	v, err = decodePreArtifact(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := v.(*preArtifact)
+	if old.pre.Spans != nil || old.hash != pa.hash {
+		t.Fatalf("old blob decoded with spans %v, hash %q", old.pre.Spans, old.hash)
+	}
+
+	printed := func(f *cast.File) []string {
+		var out []string
+		for _, d := range f.Decls {
+			out = append(out, cast.Print(d))
+		}
+		return out
+	}
+	want := printed(cparser.New(pre.Tokens, nil, nil).ParseFile("a.c"))
+	hm := cparser.NewHeaderMemo()
+	for i, art := range []*preArtifact{got, got, old} {
+		psr := cparser.New(art.pre.Tokens, art.pre.Spans, hm)
+		if decls := printed(psr.ParseFile("a.c")); !reflect.DeepEqual(decls, want) {
+			t.Fatalf("parse %d: %q, want %q", i, decls, want)
+		}
+		shared, _ := psr.Shared()
+		if wantShared := map[int]int64{0: 0, 1: 3, 2: 0}[i]; shared != wantShared {
+			t.Fatalf("parse %d shared %d decls, want %d", i, shared, wantShared)
 		}
 	}
 }
