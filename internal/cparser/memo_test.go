@@ -302,28 +302,3 @@ func TestHeaderMemoTwoMacroStates(t *testing.T) {
 	}
 	wantEntries(t, hm, 2, 0)
 }
-
-// TestHeaderMemoRace parses one header from many goroutines at once: the
-// concurrent misses, the store and the shared reads must be race-free.
-func TestHeaderMemoRace(t *testing.T) {
-	opts := cpp.Options{Include: kernelhdr.Headers(), Memo: cpp.NewMemo(nil)}
-	src := corpus.Fixtures()[0].Source
-	hm := cparser.NewHeaderMemo()
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for w := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4 && errs[w] == nil; i++ {
-				_, _, errs[w] = checkShared("race.c", cpp.Preprocess("race.c", "#include \"linux/compiler.h\"\n"+src, opts), hm)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
