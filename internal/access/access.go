@@ -416,17 +416,15 @@ func (e *Extractor) extractUnits(fn *cast.FuncDecl, units []*cfg.Unit) []*Site {
 		}
 		return raw[j]
 	}
-	var slab []Access
-	cloneAt := func(a *Access, dist int, before bool) *Access {
-		if len(slab) == cap(slab) {
-			slab = make([]Access, 0, 128)
-		}
-		slab = slab[:len(slab)+1]
-		c := &slab[len(slab)-1]
-		*c = *a
-		c.Distance, c.Before = dist, before
-		return c
+	// The copies are listed while the windows are explored and made once
+	// the function's windows are all known, into one slab of that size.
+	type clone struct {
+		site   *Site
+		a      *Access
+		dist   int
+		before bool
 	}
+	var clones []clone
 
 	var sites []*Site
 	for i, u := range units {
@@ -453,7 +451,7 @@ func (e *Extractor) extractUnits(fn *cast.FuncDecl, units []*cfg.Unit) []*Site {
 					break // bounded at other barriers (§4.2)
 				}
 				for _, a := range rawOf(j) {
-					site.Before = append(site.Before, cloneAt(a, i-j, true))
+					clones = append(clones, clone{site, a, i - j, true})
 				}
 			}
 			// Forward exploration.
@@ -470,13 +468,26 @@ func (e *Extractor) extractUnits(fn *cast.FuncDecl, units []*cfg.Unit) []*Site {
 					site.WakeUpAfter = j - i
 				}
 				for _, a := range rawOf(j) {
-					site.After = append(site.After, cloneAt(a, j-i, false))
+					clones = append(clones, clone{site, a, j - i, false})
 				}
 			}
-			sortByDistance(site.Before)
-			sortByDistance(site.After)
 			sites = append(sites, site)
 		}
+	}
+	slab := make([]Access, len(clones))
+	for k, cl := range clones {
+		c := &slab[k]
+		*c = *cl.a
+		c.Distance, c.Before = cl.dist, cl.before
+		if cl.before {
+			cl.site.Before = append(cl.site.Before, c)
+		} else {
+			cl.site.After = append(cl.site.After, c)
+		}
+	}
+	for _, site := range sites {
+		sortByDistance(site.Before)
+		sortByDistance(site.After)
 	}
 	return sites
 }

@@ -55,6 +55,8 @@ func FuzzParseMemo(f *testing.F) {
 	f.Add("int = ;\nint = ;\n", "int = ;\n", "int ok;\n")
 	f.Add("#ifdef A\nint a;\n#else\nlong b;\n#endif\n", "#define A 1\n", "void f(void) { a = 1; }\n")
 	f.Add("static inline void w(int *p) { smp_wmb(); *p = 1; }\n", "", "void g(int *p) { w(p); }\n")
+	f.Add(";\nT y;\n", "typedef int T", "T z;\n")
+	f.Add("int h;\n", "int = ", "int y;\n")
 	f.Fuzz(func(t *testing.T, header, before, after string) {
 		// Macro expansion is exponential in the nesting depth, so the
 		// inputs stay small and the depth bound low (as in

@@ -3,6 +3,7 @@ package cpp
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"hash/maphash"
 	"math"
 	"sync"
@@ -19,8 +20,9 @@ const MemoMaxCost = 1 << 20
 // Memo shares header expansions between preprocessor runs. Each header is
 // expanded once per (include path, macro-table state at entry); every later
 // #include of that path in that state replays the recorded expansion — its
-// tokens, diagnostics, fingerprint preimage and net macro changes — instead
-// of re-scanning the header. Output is byte-identical to an unmemoized run.
+// tokens, spliced in by reference as a Span, its diagnostics and its net
+// macro changes — instead of re-scanning the header. The flat stream,
+// diagnostics, fingerprint and macro table are those of an unmemoized run.
 //
 // A Memo is bound to one include map and one symbol table: every run that
 // shares it must pass the same Options.Include contents and the same
@@ -63,31 +65,59 @@ type memoEntry struct {
 	key SpanKey
 }
 
-// SpanKey is the content address of a memoized header expansion: the
-// SHA-256 of its fingerprint preimage (every token's text and position)
-// followed by every token's kind. Two expansions with the same key emit the
-// same tokens, so the parse of one is the parse of the other. It is a
-// digest, not a pointer, so it is the same in every process and survives
-// serialization of a Result.
+// SpanKey is the content address of a header expansion: the SHA-256 of its
+// fingerprint preimage (every token's text and position) followed by every
+// token's kind. Two expansions with the same key emit the same tokens, so
+// the parse of one is the parse of the other. It is a digest, not a
+// pointer, so it is the same in every process and survives serialization
+// of a Result. It is also the segment digest of the structural fingerprint
+// (see Result.Fingerprint).
 type SpanKey [sha256.Size]byte
 
-// Span is one include of the main file whose expansion came from the memo:
-// Tokens[Start:End] is the recorded or replayed expansion of an entry with
-// content address Key. Only outermost spans are listed — a memo-backed
-// include nested in another is covered by the enclosing span.
+// Span is a memo-backed include spliced into Result.Tokens before index At:
+// Tokens is the expansion, the stored tokens of the memo entry with content
+// address Key. The memo entry is immutable and shared, so Tokens is read
+// only. Adjacent includes give spans with equal At; empty expansions give
+// no span.
 type Span struct {
-	Start, End int
-	Key        SpanKey
+	At     int
+	Key    SpanKey
+	Tokens []ctoken.Token
 }
 
-func spanKeyOf(pre []byte, toks []ctoken.Token) SpanKey {
+// emptySpanKey is the segment digest of an include that expands to nothing.
+var emptySpanKey = sumKinds(sha256.New(), nil, nil, 0)
+
+// spanKey returns the SpanKey of the flat stream toks[from:] with spans
+// spliced in (see appendFlat), whose fingerprint preimage is pre.
+func spanKey(pre []byte, toks []ctoken.Token, spans []Span, from int) SpanKey {
 	h := sha256.New()
 	h.Write(pre)
-	kinds := make([]byte, len(toks))
-	for i, t := range toks {
-		kinds[i] = byte(t.Kind)
+	return sumKinds(h, toks, spans, from)
+}
+
+// sumKinds writes the kind of every token of the flat stream toks[from:]
+// with spans spliced in to h, after the preimage h has already been given,
+// and returns the digest.
+func sumKinds(h hash.Hash, toks []ctoken.Token, spans []Span, from int) SpanKey {
+	var arr [512]byte
+	b := arr[:0]
+	kinds := func(ts []ctoken.Token) {
+		for _, t := range ts {
+			if len(b) == cap(b) {
+				h.Write(b)
+				b = b[:0]
+			}
+			b = append(b, byte(t.Kind))
+		}
 	}
-	h.Write(kinds)
+	for _, s := range spans {
+		kinds(toks[from:s.At])
+		kinds(s.Tokens)
+		from = s.At
+	}
+	kinds(toks[from:])
+	h.Write(b)
 	var k SpanKey
 	h.Sum(k[:0])
 	return k
@@ -212,18 +242,48 @@ func (p *preprocessor) setMacro(name string, m *Macro) {
 // header's include-stack depth and where its output starts in each of the
 // preprocessor's streams.
 type recording struct {
-	depth                         int
-	out, errs, pre, touched, seen int
+	depth                                int
+	out, spans, errs, pre, touched, seen int
 	// poisoned marks that the cycle guard suppressed an include of a file
 	// below the header on the stack: the expansion depends on the includer
 	// chain, so it is not stored.
 	poisoned bool
 }
 
+// includeSegment expands an #include of the main file as one segment of the
+// structural fingerprint: the preimage of everything the include emits
+// stays in hbuf, and is replaced there by the segment's marker and digest.
+// An include whose expansion is one span (or nothing) takes that span's
+// key (or emptySpanKey) without hashing: it is the digest the tokens hash
+// to.
+func (p *preprocessor) includeSegment(path, src string) {
+	out, spans, pre := len(p.out), len(p.spans), len(p.hbuf)
+	start := len(p.out) + p.spanToks
+	p.hflush = math.MaxInt
+	p.includeFile(path, src)
+	p.hflush = hashFlushAt
+	p.segs = append(p.segs, segment{start, len(p.out) + p.spanToks})
+	if p.h == nil {
+		return // the legacy lexer: Fingerprint re-walks the tokens
+	}
+	var k SpanKey
+	switch {
+	case len(p.out) > out || len(p.spans) > spans+1:
+		k = spanKey(p.hbuf[pre:], p.out, p.spans[spans:], out)
+	case len(p.spans) == spans+1:
+		k = p.spans[spans].Key
+	default:
+		k = emptySpanKey
+	}
+	p.hbuf = appendSegment(p.hbuf[:pre], k)
+}
+
 // includeFile expands the resolved header path, through the memo when the
 // run has one: a stored expansion for the current macro state is replayed
 // unless one of its files is on the include stack (the cycle guard would
-// have cut it short); otherwise the header is expanded and recorded.
+// have cut it short); otherwise the header is expanded and recorded. Both
+// leave the expansion in the output as a span, replacing its inline tokens
+// and the spans nested in it.
 func (p *preprocessor) includeFile(path, src string) {
 	if p.memo == nil {
 		p.processFile(path, src)
@@ -232,9 +292,7 @@ func (p *preprocessor) includeFile(path, src string) {
 	key := memoKey{path: path, state: p.state, maxDepth: p.opts.MaxExpansionDepth}
 	e := p.memo.lookup(key)
 	if e != nil && p.replayable(e) {
-		start := len(p.out)
 		p.replay(e)
-		p.addSpan(start, e)
 		return
 	}
 	if _, on := p.includes[path]; on || e != nil {
@@ -245,43 +303,43 @@ func (p *preprocessor) includeFile(path, src string) {
 	}
 	p.recs = append(p.recs, recording{
 		depth: len(p.includes) + 1,
-		out:   len(p.out), errs: len(p.errs), pre: len(p.hbuf),
+		out:   len(p.out), spans: len(p.spans), errs: len(p.errs), pre: len(p.hbuf),
 		touched: len(p.touched), seen: len(p.seen),
 	})
-	p.hflush = math.MaxInt // keep the header's preimage in hbuf
 	p.processFile(path, src)
 	r := p.recs[len(p.recs)-1]
 	p.recs = p.recs[:len(p.recs)-1]
 	if !r.poisoned {
+		nested := 0
+		for _, s := range p.spans[r.spans:] {
+			nested += len(s.Tokens)
+		}
 		e := &memoEntry{
-			toks:  append([]ctoken.Token(nil), p.out[r.out:]...),
+			toks:  appendFlat(make([]ctoken.Token, 0, len(p.out)-r.out+nested), p.out, p.spans[r.spans:], r.out),
 			errs:  append([]error(nil), p.errs[r.errs:]...),
 			pre:   append([]byte(nil), p.hbuf[r.pre:]...),
 			delta: p.deltaSince(r.touched),
 			files: uniq(p.seen[r.seen:]),
 		}
-		e.key = spanKeyOf(e.pre, e.toks)
+		e.key = spanKey(e.pre, e.toks, nil, 0)
 		if e = p.memo.store(key, e); e != nil {
-			p.addSpan(r.out, e)
+			clear(p.out[r.out:])
+			p.out, p.spans, p.spanToks = p.out[:r.out], p.spans[:r.spans], p.spanToks-nested
+			p.addSpan(e)
 		}
 	}
 	if len(p.recs) == 0 {
-		p.hflush = hashFlushAt
 		p.touched, p.seen = p.touched[:0], p.seen[:0]
 	}
 }
 
-// addSpan records that p.out[start:] is the expansion of e, replacing the
-// spans nested in it. Empty expansions are not recorded.
-func (p *preprocessor) addSpan(start int, e *memoEntry) {
-	if start == len(p.out) {
-		return
+// addSpan splices e's expansion into the output at its end. Empty
+// expansions are not recorded.
+func (p *preprocessor) addSpan(e *memoEntry) {
+	if len(e.toks) > 0 {
+		p.spans = append(p.spans, Span{At: len(p.out), Key: e.key, Tokens: e.toks})
+		p.spanToks += len(e.toks)
 	}
-	n := len(p.spans)
-	for n > 0 && p.spans[n-1].Start >= start {
-		n--
-	}
-	p.spans = append(p.spans[:n], Span{Start: start, End: len(p.out), Key: e.key})
 }
 
 // replayable reports whether none of e's files is on the include stack.
@@ -295,19 +353,19 @@ func (p *preprocessor) replayable(e *memoEntry) bool {
 }
 
 // replay emits a stored expansion exactly as expanding the header would
-// have: tokens, diagnostics in order, the preimage bytes into the digest
-// (or into hbuf, when an enclosing header is being recorded), then the
-// header's net macro changes.
+// have: its tokens as a span, diagnostics in order, then the header's net
+// macro changes. Below the main file's own includes, the preimage goes into
+// hbuf for the enclosing segment or recording; an include of the main file
+// is a whole segment, whose digest is e.key, so it hashes nothing.
 func (p *preprocessor) replay(e *memoEntry) {
 	p.replayed++
-	p.out = append(p.out, e.toks...)
+	p.addSpan(e)
 	p.errs = append(p.errs, e.errs...)
-	if len(p.recs) > 0 {
+	if len(p.includes) > 1 {
 		p.hbuf = append(p.hbuf, e.pre...)
+	}
+	if len(p.recs) > 0 {
 		p.seen = append(p.seen, e.files...)
-	} else {
-		p.flushHash()
-		p.h.Write(e.pre)
 	}
 	for _, d := range e.delta {
 		p.setMacro(d.name, d.m)

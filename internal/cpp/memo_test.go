@@ -17,13 +17,14 @@ import (
 // diagnostics in order, fingerprint and the final macro table.
 func sameResult(t testing.TB, label, file string, want, got *Result) {
 	t.Helper()
-	if len(want.Tokens) != len(got.Tokens) {
-		t.Fatalf("%s: token count %d vs %d", label, len(want.Tokens), len(got.Tokens))
+	wantToks, gotToks := want.Flat(), got.Flat()
+	if len(wantToks) != len(gotToks) {
+		t.Fatalf("%s: token count %d vs %d", label, len(wantToks), len(gotToks))
 	}
-	for i := range want.Tokens {
-		if want.Tokens[i] != got.Tokens[i] {
+	for i := range wantToks {
+		if wantToks[i] != gotToks[i] {
 			t.Fatalf("%s: token %d: %v @%s vs %v @%s", label, i,
-				want.Tokens[i], want.Tokens[i].Pos, got.Tokens[i], got.Tokens[i].Pos)
+				wantToks[i], wantToks[i].Pos, gotToks[i], gotToks[i].Pos)
 		}
 	}
 	if len(want.Errors) != len(got.Errors) {
@@ -313,6 +314,22 @@ func FuzzPreprocessMemo(f *testing.F) {
 			Defines:           map[string]string{"D": "1"},
 			MaxExpansionDepth: 2,
 		}
-		checkMemo(t, opts, []memoRun{{"a.c", a}, {"b.c", b}})
+		runs := []memoRun{{"a.c", a}, {"b.c", b}}
+		// checkMemo holds the flattened compact stream and the fingerprint
+		// of every memo run to the fresh run's.
+		checkMemo(t, opts, runs)
+		// The streamed structural fingerprint is also the one recomputed
+		// from the compact result's fields.
+		memoOpts := opts
+		memoOpts.Memo = NewMemo(nil)
+		for pass := 0; pass < 2; pass++ {
+			for _, r := range runs {
+				got := Preprocess(r.name, r.src, memoOpts)
+				rebuilt := &Result{Tokens: got.Tokens, Spans: got.Spans, Errors: got.Errors, segs: got.segs}
+				if want, re := got.Fingerprint(r.name), rebuilt.Fingerprint(r.name); want != re {
+					t.Fatalf("pass %d %s: fingerprint streamed %s, recomputed %s", pass, r.name, want, re)
+				}
+			}
+		}
 	})
 }

@@ -1,29 +1,30 @@
 package cpp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// spanText renders res.Tokens[s.Start:s.End] space-separated.
-func spanText(res *Result, s Span) string {
+// spanText renders s.Tokens space-separated.
+func spanText(s Span) string {
 	var parts []string
-	for _, t := range res.Tokens[s.Start:s.End] {
+	for _, t := range s.Tokens {
 		parts = append(parts, t.Text)
 	}
 	return strings.Join(parts, " ")
 }
 
-// checkSpans fails t unless res's spans are ordered, disjoint, non-empty
-// and inside the token stream.
+// checkSpans fails t unless res's spans are ordered, non-empty and inside
+// the token stream.
 func checkSpans(t *testing.T, res *Result) {
 	t.Helper()
-	end := 0
+	at := 0
 	for _, s := range res.Spans {
-		if s.Start < end || s.End <= s.Start || s.End > len(res.Tokens) {
+		if s.At < at || len(s.Tokens) == 0 || s.At > len(res.Tokens) {
 			t.Fatalf("bad spans %v over %d tokens", res.Spans, len(res.Tokens))
 		}
-		end = s.End
+		at = s.At
 	}
 }
 
@@ -44,15 +45,15 @@ func TestSpansOutermost(t *testing.T) {
 		if len(res.Spans) != 2 {
 			t.Fatalf("pass %d: spans %v, want outer.h and the second inner.h", pass, res.Spans)
 		}
-		if got := spanText(res, res.Spans[0]); got != "int inner ; struct o { int x ; } ;" {
+		if got := spanText(res.Spans[0]); got != "int inner ; struct o { int x ; } ;" {
 			t.Fatalf("pass %d: outer span %q", pass, got)
 		}
-		if got := spanText(res, res.Spans[1]); got != "int inner ;" {
+		if got := spanText(res.Spans[1]); got != "int inner ;" {
 			t.Fatalf("pass %d: inner span %q", pass, got)
 		}
 		if pass == 0 {
 			first = res.Spans
-		} else if first[0] != res.Spans[0] || first[1] != res.Spans[1] {
+		} else if !reflect.DeepEqual(first, res.Spans) {
 			t.Fatalf("replayed spans %v, recorded %v", res.Spans, first)
 		}
 	}
@@ -79,7 +80,7 @@ func TestSpansPoisonedOuter(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		res := Preprocess("m.c", src, Options{Include: include, Memo: memo})
 		checkSpans(t, res)
-		if len(res.Spans) != 1 || spanText(res, res.Spans[0]) != "int b ;" {
+		if len(res.Spans) != 1 || spanText(res.Spans[0]) != "int b ;" {
 			t.Fatalf("pass %d: spans %v", pass, res.Spans)
 		}
 	}

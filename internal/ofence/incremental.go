@@ -125,8 +125,9 @@ type parseArtifact struct {
 	// the declarations it took from the header-parse memo are not counted.
 	arenaBytes int64
 	// declsShared and tokensShared count what the parse took from the
-	// header-parse memo (cparser.Parser.Shared).
-	declsShared, tokensShared int64
+	// header-parse memo (cparser.Parser.Shared); tokensFlattened counts the
+	// flat stream it built (cparser.Parser.Flattened).
+	declsShared, tokensShared, tokensFlattened int64
 }
 
 // extractArtifact is the extract-stage cache value.
@@ -209,6 +210,7 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
 		pre := cpp.PreprocessCtx(wrapCtx, name, src, p.cppOptions(env))
+		pre.Macros = nil // the cached artifact keeps only what parsing reads
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	}
 	parse := func(pa *preArtifact) (any, error) {
@@ -217,20 +219,21 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 			psr = cparser.NewNoArena(pa.pre.Tokens, pa.pre.Spans, env.parses)
 		}
 		if p.legacyFrontend {
-			psr = cparser.NewLegacy(pa.pre.Tokens)
+			psr = cparser.NewLegacy(pa.pre.Flat())
 		}
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
 		ba := &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}
 		ba.declsShared, ba.tokensShared = psr.Shared()
+		ba.tokensFlattened = psr.Flattened()
 		return ba, nil
 	}
 
 	var v, pv any
 	if cached {
-		v, _, _ = p.stages.Stage(stagePreprocess).Do(rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+		v, _, _ = p.stages.Stage(stagePreprocess).Do(rescache.KeyOf("preprocess-v2", env.hash, name, src), preprocess)
 		pa := v.(*preArtifact)
-		pv, _, _ = p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) { return parse(pa) })
+		pv, _, _ = p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v2", name, pa.hash), func() (any, error) { return parse(pa) })
 	} else {
 		v, _ = preprocess()
 		pv, _ = parse(v.(*preArtifact))
@@ -238,16 +241,17 @@ func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv
 	pa, ba := v.(*preArtifact), pv.(*parseArtifact)
 
 	if wrapSpan != nil {
-		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
+		wrapSpan.Add("tokens", int64(pa.pre.Len()))
 		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
 		wrapSpan.Add("errors", int64(len(ba.errs)))
 		wrapSpan.Add("decls_shared", ba.declsShared)
 		wrapSpan.Add("tokens_shared", ba.tokensShared)
+		wrapSpan.Add("tokens_flattened", ba.tokensFlattened)
 		wrapSpan.End()
 	}
 	return &artifacts{
 		preHash: pa.hash, ast: ba.ast, errs: ba.errs,
-		tokens: len(pa.pre.Tokens), arenaBytes: ba.arenaBytes,
+		tokens: pa.pre.Len(), arenaBytes: ba.arenaBytes,
 	}
 }
 

@@ -1,10 +1,16 @@
 // Stage-artifact codecs: the bridge between the per-file stage caches and
 // a durable/remote rescache.ArtifactStore. Only the preprocess stage has a
-// codec — its artifact is a flat token stream plus diagnostics, which
+// codec — its artifact is a token stream plus diagnostics, which
 // round-trips losslessly through bytes. The parse/cfg/extract artifacts
 // hold live AST and CFG pointers and stay memory-only; recomputing them
 // from a store-served token stream is cheap and keeps results
 // byte-identical (the parser is deterministic over the tokens).
+//
+// The wire blob is flat: in memory a preprocess artifact references its
+// header expansions in the process's memo (cpp.Span), but
+// encodePreArtifact writes the whole token stream, with each span as a
+// range of it, so a blob decodes in a process that has no such memo. The
+// decoded artifact is compact again, its spans slicing the decoded stream.
 package ofence
 
 import (
@@ -23,14 +29,18 @@ import (
 // parse_errors) only ever reads err.Error(), so the round trip is lossless
 // where it matters. Macros are dropped — nothing after preprocessing
 // reads them. Spans travel so a store-served token stream still shares
-// header parses (their keys are content digests, equal in every process);
-// a blob written before they existed decodes with none, which only costs
-// the sharing.
+// header parses (their keys are content digests, equal in every process).
 type preBlob struct {
 	Hash   string
 	Tokens []ctoken.Token
 	Errors []string
-	Spans  []cpp.Span
+	Spans  []wireSpan
+}
+
+// wireSpan is a cpp.Span on the wire: Tokens[Start:End] of the flat blob.
+type wireSpan struct {
+	Start, End int
+	Key        cpp.SpanKey
 }
 
 func encodePreArtifact(v any) ([]byte, error) {
@@ -38,7 +48,13 @@ func encodePreArtifact(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("stagecodec: unexpected preprocess value %T", v)
 	}
-	blob := preBlob{Hash: pa.hash, Tokens: pa.pre.Tokens, Spans: pa.pre.Spans}
+	blob := preBlob{Hash: pa.hash, Tokens: pa.pre.Flat()}
+	shift := 0
+	for _, s := range pa.pre.Spans {
+		start := s.At + shift
+		shift += len(s.Tokens)
+		blob.Spans = append(blob.Spans, wireSpan{Start: start, End: start + len(s.Tokens), Key: s.Key})
+	}
 	for _, err := range pa.pre.Errors {
 		blob.Errors = append(blob.Errors, err.Error())
 	}
@@ -57,7 +73,21 @@ func decodePreArtifact(data []byte) (any, error) {
 	if blob.Hash == "" {
 		return nil, fmt.Errorf("stagecodec: preprocess blob missing hash")
 	}
-	pre := &cpp.Result{Tokens: blob.Tokens, Spans: blob.Spans}
+	pre := &cpp.Result{}
+	from := 0
+	for _, s := range blob.Spans {
+		if s.Start < from || s.End <= s.Start || s.End > len(blob.Tokens) {
+			return nil, fmt.Errorf("stagecodec: preprocess blob has bad span [%d,%d)", s.Start, s.End)
+		}
+		pre.Tokens = append(pre.Tokens, blob.Tokens[from:s.Start]...)
+		pre.Spans = append(pre.Spans, cpp.Span{At: len(pre.Tokens), Key: s.Key, Tokens: blob.Tokens[s.Start:s.End]})
+		from = s.End
+	}
+	if pre.Spans == nil {
+		pre.Tokens = blob.Tokens
+	} else {
+		pre.Tokens = append(pre.Tokens, blob.Tokens[from:]...)
+	}
 	for _, msg := range blob.Errors {
 		pre.Errors = append(pre.Errors, errors.New(msg))
 	}

@@ -121,10 +121,11 @@ func TestPreprocessCodecErrorStrings(t *testing.T) {
 	}
 }
 
-// TestPreprocessCodecKeepsSpans: the preprocess blob carries the memoized
-// header spans, so a store-served token stream still shares header parses,
-// and a blob written before spans existed still decodes and parses
-// identically (it only shares nothing).
+// TestPreprocessCodecKeepsSpans: the preprocess blob carries the flat token
+// stream and the memoized header spans as ranges of it, so a store-served
+// artifact is compact again and still shares header parses, and a blob
+// without spans still decodes and parses identically (it only shares
+// nothing).
 func TestPreprocessCodecKeepsSpans(t *testing.T) {
 	p := NewProject()
 	p.AddHeader("s.h", "struct s { int a; };\ntypedef int sint;\nint g;\n")
@@ -142,6 +143,13 @@ func TestPreprocessCodecKeepsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wire preBlob
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wire.Tokens, pre.Flat()) || len(wire.Spans) != 1 || wire.Spans[0].End-wire.Spans[0].Start != len(pre.Spans[0].Tokens) {
+		t.Fatalf("wire blob is not flat: %d tokens, spans %v; stream %d", len(wire.Tokens), wire.Spans, pre.Len())
+	}
 	got := v.(*preArtifact)
 	if got.hash != pa.hash || !reflect.DeepEqual(got.pre.Spans, pre.Spans) || !reflect.DeepEqual(got.pre.Tokens, pre.Tokens) {
 		t.Fatalf("round trip lost the artifact: spans %v, want %v", got.pre.Spans, pre.Spans)
@@ -154,7 +162,7 @@ func TestPreprocessCodecKeepsSpans(t *testing.T) {
 		Errors []string
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&oldPreBlob{Hash: pa.hash, Tokens: pre.Tokens}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&oldPreBlob{Hash: pa.hash, Tokens: pre.Flat()}); err != nil {
 		t.Fatal(err)
 	}
 	v, err = decodePreArtifact(buf.Bytes())
@@ -173,7 +181,7 @@ func TestPreprocessCodecKeepsSpans(t *testing.T) {
 		}
 		return out
 	}
-	want := printed(cparser.New(pre.Tokens, nil, nil).ParseFile("a.c"))
+	want := printed(cparser.New(pre.Flat(), nil, nil).ParseFile("a.c"))
 	hm := cparser.NewHeaderMemo()
 	for i, art := range []*preArtifact{got, got, old} {
 		psr := cparser.New(art.pre.Tokens, art.pre.Spans, hm)
@@ -184,5 +192,55 @@ func TestPreprocessCodecKeepsSpans(t *testing.T) {
 		if wantShared := map[int]int64{0: 0, 1: 3, 2: 0}[i]; shared != wantShared {
 			t.Fatalf("parse %d shared %d decls, want %d", i, shared, wantShared)
 		}
+	}
+}
+
+// TestStageKeyV1BlobNeverDecoded: a preprocess blob a previous version
+// stored under its "preprocess-v1" key — a flat stream whose spans were
+// ranges of it — is never looked up by this version, whose key is
+// "preprocess-v2": the file is preprocessed afresh and the v2 artifact
+// published beside the old blob.
+func TestStageKeyV1BlobNeverDecoded(t *testing.T) {
+	dir := t.TempDir()
+	store, err := rescache.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const name, src = "a.c", "#include \"s.h\"\nint x;\n"
+	p := NewProject()
+	p.AddHeader("s.h", "int s;\n")
+	env := p.envSnapshot()
+
+	type v1Span struct {
+		Start, End int
+		Key        cpp.SpanKey
+	}
+	type v1Blob struct {
+		Hash   string
+		Tokens []ctoken.Token
+		Errors []string
+		Spans  []v1Span
+	}
+	var buf bytes.Buffer
+	stale := v1Blob{Hash: "v1-artifact", Tokens: []ctoken.Token{{Kind: ctoken.Ident, Text: "stale"}}, Errors: []string{"v1 blob decoded"}}
+	if err := gob.NewEncoder(&buf).Encode(&stale); err != nil {
+		t.Fatal(err)
+	}
+	store.Put(rescache.KeyOf("preprocess-v1", env.hash, name, src), buf.Bytes())
+
+	stages := rescache.NewStages(0)
+	stages.AttachStore(store, StageCodecs())
+	q := NewProjectWithStages(stages)
+	q.AddHeader("s.h", "int s;\n")
+	fu := q.AddSource(name, src)
+	if st := stages.Stats()["preprocess"]; st.StoreHits != 0 || st.Misses != 1 {
+		t.Fatalf("preprocess stage %+v, want one miss and no store hit", st)
+	}
+	if len(fu.Errs) != 0 || fu.art.preHash == stale.Hash {
+		t.Fatalf("the v1 blob was decoded: errors %v, hash %q", fu.Errs, fu.art.preHash)
+	}
+	if _, ok := store.Get(rescache.KeyOf("preprocess-v2", env.hash, name, src)); !ok {
+		t.Fatal("no v2 artifact published")
 	}
 }
