@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-fleet bench bench-incremental bench-pairing bench-fleet bench-confidence bench-frontend bench-treescale serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint fuzz test test-race race race-fleet bench bench-incremental bench-pairing bench-fleet bench-confidence bench-frontend bench-treescale profile-cold serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -92,6 +92,23 @@ bench-frontend:
 bench-treescale:
 	OFENCE_BENCH_TREESCALE_OUT=$(CURDIR)/BENCH_treescale.json \
 		$(GO) test ./internal/ofence/ -run '^TestWriteBenchTreescaleJSON$$' -count=1 -v -timeout 30m
+
+# Cold-run profile behind the tree-cold numbers: writes the 2,048-file
+# tree (ofence-corpus -tree 2048 -seed 1), then cpu.pprof and mem.pprof of
+# one `ofence -interproc 1 -json -workers 1` run over it, all under the
+# git-ignored .bench_build/profile/, and prints the top allocation sites.
+PROFILE_DIR := .bench_build/profile
+profile-cold:
+	rm -rf $(PROFILE_DIR)
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/ofence ./cmd/ofence
+	$(GO) build -o $(PROFILE_DIR)/ofence-corpus ./cmd/ofence-corpus
+	$(PROFILE_DIR)/ofence-corpus -tree 2048 -seed 1 $(PROFILE_DIR)/tree > /dev/null
+	$(PROFILE_DIR)/ofence -interproc 1 -json -workers 1 \
+		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
+		$(PROFILE_DIR)/tree > $(PROFILE_DIR)/out.json
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 \
+		$(PROFILE_DIR)/ofence $(PROFILE_DIR)/mem.pprof
 
 # Race-detector gate for the fleet subsystem: coordinator lease juggling,
 # worker heartbeats, the shared artifact stores.

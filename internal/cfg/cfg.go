@@ -95,52 +95,54 @@ type LinearizeOptions struct {
 	ResolveDepth int
 }
 
-// Linearize flattens fn's body into the ordered unit stream.
+// Linearize flattens fn's body into the ordered unit stream. A counting
+// walk sizes the stream first, so the units land in one exact-size backing
+// slice and the returned pointers point into it.
 func Linearize(fn *cast.FuncDecl, opts LinearizeOptions) []*Unit {
-	ln := &linearizer{opts: opts}
+	c := &linearizer{opts: opts, count: true}
+	c.fn(fn, "", opts.InlineDepth, opts.ResolveDepth)
+	ln := &linearizer{opts: opts, units: make([]Unit, c.n)}
 	ln.fn(fn, "", opts.InlineDepth, opts.ResolveDepth)
-	for i, u := range ln.units {
+	out := make([]*Unit, len(ln.units))
+	for i := range ln.units {
+		u := &ln.units[i]
 		u.Index = i
+		out[i] = u
 	}
-	return ln.units
+	return out
 }
 
 type linearizer struct {
-	opts  LinearizeOptions
-	units []*Unit
-	// slab batch-allocates Units so linearizing a function does not heap-
-	// allocate per statement. Full slabs are abandoned to the units pointing
-	// into them (same lifetime), so handing out interior pointers is safe.
-	slab []Unit
-	full bool
+	opts LinearizeOptions
+	// count marks the sizing walk: it only advances n. The filling walk
+	// repeats it step for step and writes unit n into units.
+	count bool
+	units []Unit
+	n     int
+	full  bool
 }
 
-func (l *linearizer) add(u *Unit) {
-	if l.opts.MaxUnits > 0 && len(l.units) >= l.opts.MaxUnits {
+// newUnit adds a unit to the stream and returns its index, or -1 when the
+// stream is already MaxUnits long.
+func (l *linearizer) newUnit(kind UnitKind, stmt cast.Stmt, expr cast.Expr, fn *cast.FuncDecl, inlinedFrom string, pos ctoken.Position) int {
+	if l.opts.MaxUnits > 0 && l.n >= l.opts.MaxUnits {
 		l.full = true
-		return
+		return -1
 	}
-	l.units = append(l.units, u)
+	i := l.n
+	l.n++
+	if !l.count {
+		l.units[i] = Unit{Kind: kind, Stmt: stmt, Expr: expr, Fn: fn, InlinedFrom: inlinedFrom, Pos: pos}
+	}
+	return i
 }
 
-// newUnit allocates a Unit from the slab and adds it to the stream,
-// returning it so call sites can set InlinedCall after the fact.
-func (l *linearizer) newUnit(kind UnitKind, stmt cast.Stmt, expr cast.Expr, fn *cast.FuncDecl, inlinedFrom string, pos ctoken.Position) *Unit {
-	if len(l.slab) == cap(l.slab) {
-		n := cap(l.slab) * 2
-		if n < 32 {
-			n = 32
-		}
-		if n > 1024 {
-			n = 1024
-		}
-		l.slab = make([]Unit, 0, n)
+// markInlined sets InlinedCall on unit i, which a splice has just followed
+// (a no-op for a unit cut by MaxUnits).
+func (l *linearizer) markInlined(i int) {
+	if i >= 0 && !l.count {
+		l.units[i].InlinedCall = true
 	}
-	l.slab = l.slab[:len(l.slab)+1]
-	u := &l.slab[len(l.slab)-1]
-	u.Kind, u.Stmt, u.Expr, u.Fn, u.InlinedFrom, u.Pos = kind, stmt, expr, fn, inlinedFrom, pos
-	l.add(u)
-	return u
 }
 
 func (l *linearizer) fn(fn *cast.FuncDecl, inlinedFrom string, depth, rdepth int) {
@@ -196,14 +198,14 @@ func (l *linearizer) stmt(s cast.Stmt, fn *cast.FuncDecl, inlinedFrom string, de
 	case *cast.BlockStmt:
 		l.block(x, fn, inlinedFrom, depth, rdepth)
 	case *cast.ExprStmt:
-		u := l.newUnit(UnitStmt, x, x.X, fn, inlinedFrom, x.Position)
+		i := l.newUnit(UnitStmt, x, x.X, fn, inlinedFrom, x.Position)
 		if l.maybeInline(x.X, fn, depth, rdepth) {
-			u.InlinedCall = true
+			l.markInlined(i)
 		}
 	case *cast.DeclStmt:
-		u := l.newUnit(UnitStmt, x, x.Init, fn, inlinedFrom, x.Position)
+		i := l.newUnit(UnitStmt, x, x.Init, fn, inlinedFrom, x.Position)
 		if x.Init != nil && l.maybeInline(x.Init, fn, depth, rdepth) {
-			u.InlinedCall = true
+			l.markInlined(i)
 		}
 	case *cast.IfStmt:
 		l.newUnit(UnitCond, x, x.Cond, fn, inlinedFrom, x.Position)
@@ -271,7 +273,7 @@ func (g *Graph) Entry() *Block {
 func Build(fn *cast.FuncDecl) *Graph {
 	g := &Graph{Fn: fn}
 	g.Units = Linearize(fn, LinearizeOptions{})
-	b := &builder{g: g, labels: map[string]*Block{}, gotos: map[*Block]string{}}
+	b := &builder{g: g}
 	entry := b.newBlock()
 	exit := b.build(fn.Body, entry, ctx{})
 	_ = exit
@@ -286,7 +288,8 @@ type ctx struct {
 }
 
 type builder struct {
-	g       *Graph
+	g *Graph
+	// labels and gotos stay nil until the function has a label or a goto.
 	labels  map[string]*Block
 	gotos   map[*Block]string
 	unitIdx int
@@ -455,11 +458,17 @@ func (b *builder) build(s cast.Stmt, cur *Block, c ctx) *Block {
 		link(cur, c.cont)
 		return nil
 	case *cast.GotoStmt:
+		if b.gotos == nil {
+			b.gotos = map[*Block]string{}
+		}
 		b.gotos[cur] = x.Label
 		return nil
 	case *cast.LabelStmt:
 		lb := b.newBlock()
 		link(cur, lb)
+		if b.labels == nil {
+			b.labels = map[string]*Block{}
+		}
 		b.labels[x.Name] = lb
 		return lb
 	case *cast.CaseStmt, *cast.EmptyStmt, *cast.AsmStmt:

@@ -138,10 +138,10 @@ func (p *Parser) flatten() {
 }
 
 // compactDecl parses one top-level declaration of the file's own tokens
-// before the next span into f. It reports false, with the parser state
+// before the next span. It reports false, with the parser state
 // restored, when the declaration read past the span's splice point: it
 // continues into the span, so it must be parsed over the flat stream.
-func (p *Parser) compactDecl(f *cast.File) bool {
+func (p *Parser) compactDecl() bool {
 	i, nerrs, hash := p.i, len(p.errs), p.tdHash
 	p.past, p.tdLog = false, []string{}
 	d := p.topDecl()
@@ -149,7 +149,7 @@ func (p *Parser) compactDecl(f *cast.File) bool {
 	p.tdLog = nil
 	if !p.past {
 		if d != nil {
-			f.Decls = append(f.Decls, d)
+			p.decls = append(p.decls, d)
 		}
 		return true
 	}
@@ -160,11 +160,11 @@ func (p *Parser) compactDecl(f *cast.File) bool {
 	return false
 }
 
-// shareSpan handles the header span s, which starts at p.i: it appends the
-// span's stored parse to f, or parses the span into a memo entry and
-// stores it. It reports false, with the parser state untouched, when the
-// span must be parsed in line.
-func (p *Parser) shareSpan(f *cast.File, s cpp.Span) bool {
+// shareSpan handles the header span s, which starts at p.i: it takes the
+// span's stored parse into the file, or parses the span into a memo entry
+// and stores it. It reports false, with the parser state untouched, when
+// the span must be parsed in line.
+func (p *Parser) shareSpan(s cpp.Span) bool {
 	k := headerKey{span: s.Key, typedefs: p.tdHash}
 	e := p.memo.lookup(k)
 	hit := e != nil
@@ -182,7 +182,9 @@ func (p *Parser) shareSpan(f *cast.File, s cpp.Span) bool {
 		p.declsShared += int64(len(e.decls))
 		p.tokensShared += int64(len(s.Tokens))
 	}
-	f.Decls = append(f.Decls, e.decls...)
+	if len(e.decls) > 0 {
+		p.shared = append(p.shared, sharedRun{at: len(p.decls), decls: e.decls})
+	}
 	p.appendErrs(e.errs)
 	return true
 }

@@ -73,6 +73,9 @@ func checkShared(name string, pre *cpp.Result, hm *cparser.HeaderMemo) (decls, t
 			return 0, 0, fmt.Errorf("%s (%s parser): %v", name, kind, err)
 		}
 		d, n := p.Shared()
+		if d > 0 && cap(f.Decls) != len(f.Decls) {
+			return 0, 0, fmt.Errorf("%s (%s parser): %d declarations in a slice of capacity %d", name, kind, len(f.Decls), cap(f.Decls))
+		}
 		decls += d
 		tokens += n
 	}

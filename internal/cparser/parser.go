@@ -58,6 +58,19 @@ type Parser struct {
 	declsShared     int64
 	tokensShared    int64
 	tokensFlattened int64
+
+	// decls collects the file's own top-level declarations; shared lists
+	// the declaration runs taken from memo, each placed before decls[at].
+	// ParseFile merges the two into f.Decls at its exact size.
+	decls  []cast.Decl
+	shared []sharedRun
+}
+
+// sharedRun is one header span's stored declarations, which belong in the
+// file before its own declaration at.
+type sharedRun struct {
+	at    int
+	decls []cast.Decl
 }
 
 // kernelTypedefs are typedef names assumed known even when their defining
@@ -327,12 +340,12 @@ func (p *Parser) ParseFile(name string) *cast.File {
 	case len(p.toks) > 0:
 		f.Position = p.toks[0].Pos
 	}
-	if p.arena != nil {
-		f.Decls = make([]cast.Decl, 0, 32)
+	if p.memo != nil {
+		p.shared = make([]sharedRun, 0, len(p.spans))
 	}
 	for {
 		if s, ok := p.atSpan(); ok {
-			if p.shareSpan(f, s) {
+			if p.shareSpan(s) {
 				p.skipSpan(s)
 				continue
 			}
@@ -341,7 +354,7 @@ func (p *Parser) ParseFile(name string) *cast.File {
 			}
 		}
 		if !p.flat && p.nextSpan < len(p.spans) {
-			if p.compactDecl(f) {
+			if p.compactDecl() {
 				continue
 			}
 			p.flatten()
@@ -350,10 +363,31 @@ func (p *Parser) ParseFile(name string) *cast.File {
 			break
 		}
 		if d := p.topDecl(); d != nil {
-			f.Decls = append(f.Decls, d)
+			p.decls = append(p.decls, d)
 		}
 	}
+	f.Decls = p.fileDecls()
 	return f
+}
+
+// fileDecls returns the file's top-level declarations in source order: the
+// own declarations with every shared run spliced in at its place, in one
+// slice of exactly their total length.
+func (p *Parser) fileDecls() []cast.Decl {
+	if len(p.shared) == 0 {
+		return p.decls
+	}
+	n := len(p.decls)
+	for _, r := range p.shared {
+		n += len(r.decls)
+	}
+	out := make([]cast.Decl, 0, n)
+	own := 0
+	for _, r := range p.shared {
+		out = append(append(out, p.decls[own:r.at]...), r.decls...)
+		own = r.at
+	}
+	return append(out, p.decls[own:]...)
 }
 
 // topDecl parses one top-level declaration and guarantees progress: when

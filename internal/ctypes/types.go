@@ -97,13 +97,41 @@ type Table struct {
 
 // NewTable builds the symbol tables for file. Multiple files may be merged
 // by calling Add on the same table (headers shared across the corpus).
+//
+// One counting pass over the declarations sizes every map before Add fills
+// it, so building a file's table over its merged headers never rehashes.
 func NewTable(files ...*cast.File) *Table {
+	var structs, typedefs, typedefStruct, globals, funcs int
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch x := d.(type) {
+			case *cast.StructDecl:
+				if x.Tag != "" {
+					structs++
+				}
+			case *cast.TypedefDecl:
+				typedefs++
+				if x.Struct != nil {
+					if x.Struct.Tag != "" {
+						structs++
+					}
+					typedefStruct++
+				} else if x.Type != nil && x.Type.Struct != "" && x.Type.Pointers == 0 {
+					typedefStruct++
+				}
+			case *cast.VarDecl:
+				globals++
+			case *cast.FuncDecl:
+				funcs++
+			}
+		}
+	}
 	t := &Table{
-		structs:       map[string]*cast.StructDecl{},
-		typedefs:      map[string]*cast.TypeExpr{},
-		typedefStruct: map[string]string{},
-		globals:       map[string]*Type{},
-		funcs:         map[string]*cast.FuncDecl{},
+		structs:       make(map[string]*cast.StructDecl, structs),
+		typedefs:      make(map[string]*cast.TypeExpr, typedefs),
+		typedefStruct: make(map[string]string, typedefStruct),
+		globals:       make(map[string]*Type, globals),
+		funcs:         make(map[string]*cast.FuncDecl, funcs),
 	}
 	for _, f := range files {
 		t.Add(f)

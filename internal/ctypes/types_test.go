@@ -1,6 +1,8 @@
 package ctypes
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ofence/internal/cast"
@@ -320,5 +322,20 @@ void fn(void) {
 	fe := cast.FieldAccesses(fn)[0]
 	if got := sc.FieldOwner(fe); got != "b" {
 		t.Errorf("local shadow lost: owner = %q", got)
+	}
+}
+
+// TestNewTableAllocs bounds building a table over 64 declarations of each
+// kind: the presized maps never grow, so the count is one resolved type per
+// global plus the table and its maps' fixed storage (21 on go1.24). Maps
+// grown from empty take 120 in all.
+func TestNewTableAllocs(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&src, "struct s%d { int x; };\ntypedef struct s%d t%d;\nint g%d;\nvoid f%d(void) { }\n", i, i, i, i, i)
+	}
+	f := parseFile(t, src.String())
+	if n := testing.AllocsPerRun(20, func() { NewTable(f) }); n > 64+24 {
+		t.Fatalf("NewTable: %.0f allocations, want at most %d", n, 64+24)
 	}
 }
